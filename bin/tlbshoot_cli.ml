@@ -125,13 +125,12 @@ let run_trace ~workload ~children ~scale ~emit_json ~perfetto =
   (match String.lowercase_ascii workload with
   | "tester" ->
       let machine = Vm.Machine.create ~params:Sim.Params.default () in
-      machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
-      Sim.Engine.set_tracer machine.Vm.Machine.eng (Some tr);
       let profile =
         Instrument.Profile.create ~ncpus:Sim.Params.default.Sim.Params.ncpus ()
       in
       Instrument.Profile.set_tracer profile (Some tr);
       Vm.Machine.attach_profile machine profile;
+      Vm.Machine.attach_trace machine tr;
       ignore (Workloads.Tlb_tester.run machine ~children ())
   | "mach" ->
       ignore

@@ -573,11 +573,7 @@ let run ?(mutant = Pmap.No_mutant) ?(max_decisions = 4096) ?observe ?trace
   let machine = Machine.create ~params () in
   let ctx = machine.Machine.ctx in
   ctx.Pmap.mutant <- mutant;
-  (match trace with
-  | Some tr ->
-      ctx.Pmap.trace <- Some tr;
-      Sim.Engine.set_tracer machine.Machine.eng (Some tr)
-  | None -> ());
+  Option.iter (Machine.attach_trace machine) trace;
   let oracle = Core.Consistency_oracle.attach ctx in
   let ex = Sim.Explore.create ~max_decisions ~prefix ~armed:false () in
   (match observe with

@@ -160,7 +160,7 @@ let flush g (cpu : Sim.Cpu.t) =
   | ranges ->
       ctx.Pmap.batch_flushes <- ctx.Pmap.batch_flushes + 1;
       Shootdown.with_update_ranges ctx cpu g.pmap ~elide_reuse:g.pure_unmap
-        ~origin:Instrument.Flight.Gather_flush ~ranges
+        ~origin:Instrument.Probe.Gather_flush ~ranges
         ~may_be_inconsistent:(fun () -> true)
         ~update:(fun () ->
           (* The barrier has been reached: every responder acknowledged

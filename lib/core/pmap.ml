@@ -26,6 +26,18 @@ type t = {
       (* current TLB-entry generation of this space (docs/ELISION.md):
          bumped instead of running a shootdown round when an unmap's
          stale entries can be left to die on the tag check *)
+  notes : notes;
+}
+
+(* [ctx.shoot_phase] labels for a round on this pmap, precomputed so a
+   round never concatenates (Spinlock's note_acquire idiom). *)
+and notes = {
+  acquiring : string;
+  locked : string;
+  shooting : string;
+  updating : string;
+  gen_bump : string;
+  force_invalidate : string;
 }
 
 (* An in-flight gather batch (mmu_gather-style, see Gather): page-table
@@ -60,18 +72,8 @@ type ctx = {
   mmus : Mmu.t array;
   mem : Hw.Phys_mem.t;
   xpr : Instrument.Xpr.t;
-  mutable trace : Instrument.Trace.t option;
-      (* structured span stream; attached by the trace CLI / workload
-         drivers, None (and cost-free) otherwise *)
-  mutable flight : Instrument.Flight.t option;
-      (* per-round flight recorder (docs/TAIL.md); same one-branch
-         contract as [trace] when detached *)
-  resp_enter_at : float array;
-  shoot_start_at : float array;
-      (* per-CPU timestamps of the last responder.enter /
-         initiator.start, written only while a tracer is attached:
-         Shoot_trace uses them to stamp the matching responder.ack and
-         initiator.update-done spans with a dur attribute *)
+  mutable observer : (Instrument.Probe.t -> unit) option;
+      (* consumer of the protocol's probe stream; None unless attached *)
   (* --- shootdown state (paper Figure 1) --- *)
   active : bool array; (* processors actively translating *)
   action_needed : bool array;
@@ -97,6 +99,7 @@ type ctx = {
       (* model-checker-only protocol mutation; No_mutant in real runs *)
   (* --- statistics --- *)
   shoot_phase : string array; (* per-cpu diagnostic: initiator progress *)
+  ack_notes : string array; (* "await-ack:<cpu>" per target, precomputed *)
   mutable shootdowns_initiated : int;
   mutable shootdowns_skipped_lazy : int;
   mutable ipis_sent : int;
@@ -119,6 +122,22 @@ type ctx = {
 
 let ncpus ctx = Array.length ctx.cpus
 
+(* Subscribe [f] to the probe stream, after any observer already
+   attached: every consumer sees each probe, in attach order. *)
+let observe ctx f =
+  ctx.observer <-
+    Some
+      (match ctx.observer with
+      | None -> f
+      | Some g ->
+          fun p ->
+            g p;
+            f p)
+
+let[@inline] probing ctx = Option.is_some ctx.observer
+
+let probe ctx p = match ctx.observer with Some f -> f p | None -> ()
+
 let make_pmap ~ncpus ~space_id ~name ~is_kernel =
   {
     space_id;
@@ -133,6 +152,15 @@ let make_pmap ~ncpus ~space_id ~name ~is_kernel =
     op_count = 0;
     destroyed = false;
     generation = 0;
+    notes =
+      {
+        acquiring = "acquiring:" ^ name;
+        locked = "locked:" ^ name;
+        shooting = "shooting:" ^ name;
+        updating = "updating:" ^ name;
+        gen_bump = "gen-bump:" ^ name;
+        force_invalidate = "force-invalidate:" ^ name;
+      };
   }
 
 let create_ctx ~eng ~bus ~cpus ~mmus ~mem ~params ~xpr =
@@ -147,10 +175,7 @@ let create_ctx ~eng ~bus ~cpus ~mmus ~mem ~params ~xpr =
       mmus;
       mem;
       xpr;
-      trace = None;
-      flight = None;
-      resp_enter_at = Array.make n nan;
-      shoot_start_at = Array.make n nan;
+      observer = None;
       active = Array.make n false;
       action_needed = Array.make n false;
       draining = Array.make n false;
@@ -166,6 +191,7 @@ let create_ctx ~eng ~bus ~cpus ~mmus ~mem ~params ~xpr =
       open_batches = [];
       mutant = No_mutant;
       shoot_phase = Array.make n "-";
+      ack_notes = Array.init n (Printf.sprintf "await-ack:%d");
       shootdowns_initiated = 0;
       shootdowns_skipped_lazy = 0;
       ipis_sent = 0;

@@ -19,6 +19,18 @@ type t = {
   mutable generation : int;
       (** current TLB-entry generation of this space (docs/ELISION.md);
           bumped in place of a shootdown round by flush elision *)
+  notes : notes;
+}
+
+(** [ctx.shoot_phase] labels for a round on this pmap
+    (["acquiring:<name>"], ...), precomputed. *)
+and notes = {
+  acquiring : string;
+  locked : string;
+  shooting : string;
+  updating : string;
+  gen_bump : string;
+  force_invalidate : string;
 }
 
 type batch = {
@@ -54,17 +66,8 @@ type ctx = {
   mmus : Hw.Mmu.t array;
   mem : Hw.Phys_mem.t;
   xpr : Instrument.Xpr.t;
-  mutable trace : Instrument.Trace.t option;
-      (** structured span stream; [None] (and cost-free) unless attached *)
-  mutable flight : Instrument.Flight.t option;
-      (** per-round flight recorder (docs/TAIL.md); [None] (one branch,
-          cost-free) unless attached *)
-  resp_enter_at : float array;
-  shoot_start_at : float array;
-      (** per-CPU timestamps of the last [responder.enter] /
-          [initiator.start]; written only while a tracer is attached, so
-          [Shoot_trace] can give the matching [responder.ack] and
-          [initiator.update-done] spans a [dur] attribute *)
+  mutable observer : (Instrument.Probe.t -> unit) option;
+      (** consumer of the protocol's probe stream ({!observe}) *)
   active : bool array;  (** processors actively translating *)
   action_needed : bool array;
   draining : bool array;
@@ -87,6 +90,7 @@ type ctx = {
   mutable mutant : mutant;
       (** model-checker-only protocol mutation; [No_mutant] in real runs *)
   shoot_phase : string array;  (** per-CPU diagnostic label *)
+  ack_notes : string array;  (** ["await-ack:<cpu>"] per target CPU *)
   mutable shootdowns_initiated : int;
   mutable shootdowns_skipped_lazy : int;
   mutable ipis_sent : int;
@@ -114,6 +118,17 @@ type ctx = {
 }
 
 val ncpus : ctx -> int
+
+val observe : ctx -> (Instrument.Probe.t -> unit) -> unit
+(** Subscribe a consumer to the protocol's probe stream; each probe
+    reaches every consumer in attach order. *)
+
+val probing : ctx -> bool
+(** Is any consumer attached?  Emission sites test this before building
+    an event, so a detached stream costs one branch and no allocation. *)
+
+val probe : ctx -> Instrument.Probe.t -> unit
+(** Deliver one event to every attached consumer. *)
 
 val create_ctx :
   eng:Sim.Engine.t ->

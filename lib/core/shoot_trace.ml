@@ -1,156 +1,80 @@
-(* Detailed tracing of individual shootdowns, for the "anatomy" views and
-   the structured span stream: every phase transition of the initiator and
-   of each responder is recorded in the xpr buffer as a Custom event, and
-   — when a tracer is attached to the context — emitted as a named
-   Instrument.Trace span with typed attributes (target CPU, per-CPU queue
-   depth, flush-vs-invalidate decisions).
+(* The shootdown span stream: a fold of the protocol's probe stream
+   (Instrument.Probe) into named Instrument.Trace spans with typed
+   attributes — target CPU, per-CPU queue depth, flush-vs-invalidate
+   decisions — for the `tlbshoot trace` views and Perfetto export
+   (docs/OBSERVABILITY.md).
 
-   The xpr side is off by default (the summary events of
-   Xpr.Shoot_initiator/_responder are always on); turn it on with [enable]
-   to dissect a specific run.  The span side costs one branch while
-   ctx.trace is None.
+   Phase durations are readable without pairing events by hand:
+   responder.enter -> responder.ack and initiator.start ->
+   initiator.update-done carry the elapsed time as a [dur] (like
+   engine.coroutine).  The pairing timestamps live here, per CPU. *)
 
-   The renderer produces a chronological, per-CPU log of one or more
-   shootdowns — the Figure 1 protocol made visible. *)
-
-module Xpr = Instrument.Xpr
 module Trace = Instrument.Trace
 
-(* Event codes (Xpr.Custom payloads). *)
-let c_initiator_start = 10
-let c_queue_action = 11 (* arg2 = target cpu *)
-let c_ipi_sent = 12 (* arg2 = target cpu *)
-let c_barrier_done = 13
-let c_update_done = 14
-let c_watchdog_retry = 15 (* arg2 = target cpu *)
-let c_watchdog_escalate = 16 (* arg2 = abandoned cpu *)
-let c_resp_enter = 20
-let c_resp_ack = 21
-let c_resp_drain = 22
-let c_resp_done = 23
-let c_idle_drain = 24
-
-let enabled = ref false
-let enable () = enabled := true
-let disable () = enabled := false
-
-(* Span names for the structured stream (see docs/OBSERVABILITY.md). *)
-let span_name = function
-  | 10 -> "initiator.start"
-  | 11 -> "initiator.queue-action"
-  | 12 -> "initiator.ipi"
-  | 13 -> "initiator.barrier-done"
-  | 14 -> "initiator.update-done"
-  | 15 -> "initiator.watchdog-retry"
-  | 16 -> "initiator.watchdog-escalate"
-  | 20 -> "responder.enter"
-  | 21 -> "responder.ack"
-  | 22 -> "responder.drain"
-  | 23 -> "responder.done"
-  | 24 -> "idle.drain"
-  | n -> Printf.sprintf "custom.%d" n
-
-let record ctx ~code ~cpu ?(arg2 = 0) () =
-  if !enabled then
-    Xpr.record ctx.Pmap.xpr ~code:(Xpr.Custom code) ~cpu
-      ~timestamp:(Sim.Engine.now ctx.Pmap.eng) ~arg2 ();
-  match ctx.Pmap.trace with
-  | None -> ()
-  | Some tr ->
-      let now = Sim.Engine.now ctx.Pmap.eng in
-      let attrs =
-        if code = c_queue_action then
-          (* depth is read under the target's queue lock, still held *)
-          let q = ctx.Pmap.queues.(arg2) in
-          [
-            ("target", Trace.Int arg2);
-            ("queue_depth", Trace.Int q.Action.count);
-            ("overflow", Trace.Bool q.Action.overflow);
-          ]
-        else if
-          code = c_ipi_sent || code = c_watchdog_retry
-          || code = c_watchdog_escalate
-        then [ ("target", Trace.Int arg2) ]
-        else []
-      in
-      (* Phase durations readable without pairing events by hand:
-         responder.enter->responder.ack and
-         initiator.start->initiator.update-done carry the elapsed time as
-         a [dur] attribute (like engine.coroutine).  The pairing
-         timestamps live in the context and are written only here, so the
-         no-tracer path stays one branch. *)
-      if code = c_resp_enter then ctx.Pmap.resp_enter_at.(cpu) <- now
-      else if code = c_initiator_start then ctx.Pmap.shoot_start_at.(cpu) <- now;
-      let at, dur =
-        let phase_start since =
-          if Float.is_nan since then (now, None) else (since, Some (now -. since))
-        in
-        if code = c_resp_ack then phase_start ctx.Pmap.resp_enter_at.(cpu)
-        else if code = c_update_done then
-          phase_start ctx.Pmap.shoot_start_at.(cpu)
-        else (now, None)
-      in
-      Trace.emit tr ~name:(span_name code) ~cpu ~at ?dur ~attrs ()
-
-(* The flush-vs-invalidate decision of the responder/initiator TLB work
-   (omitted detail 1 of Figure 1), only visible in the span stream. *)
-let record_tlb ctx ~cpu ~space ~pages ~flush =
-  match ctx.Pmap.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.emit tr
-        ~name:(if flush then "tlb.flush" else "tlb.invalidate")
-        ~cpu
-        ~at:(Sim.Engine.now ctx.Pmap.eng)
-        ~attrs:[ ("space", Trace.Int space); ("pages", Trace.Int pages) ]
+let observer tr ~ncpus =
+  let started = Array.make ncpus nan (* initiator.start of this round *)
+  and entered = Array.make ncpus nan (* responder.enter *)
+  and waiting = Array.make ncpus false (* barrier started, not yet done *) in
+  let span ?dur ?(attrs = []) name ~cpu ~at =
+    Trace.emit tr ~name ~cpu ~at ?dur ~attrs ()
+  in
+  let since start name ~cpu ~at =
+    if Float.is_nan start then span name ~cpu ~at
+    else span name ~cpu ~at:start ~dur:(at -. start)
+  in
+  let target t = [ ("target", Trace.Int t) ] in
+  fun (p : Instrument.Probe.t) ->
+    match p with
+    | Round_start { cpu; _ } -> started.(cpu) <- nan
+    | Initiator_start { cpu; at } ->
+        started.(cpu) <- at;
+        span "initiator.start" ~cpu ~at
+    | Queue_action { cpu; at; target = t; depth; overflow } ->
+        span "initiator.queue-action" ~cpu ~at
+          ~attrs:
+            [
+              ("target", Trace.Int t);
+              ("queue_depth", Trace.Int depth);
+              ("overflow", Trace.Bool overflow);
+            ]
+    | Ipi_posted { cpu; at; target = t } ->
+        span "initiator.ipi" ~cpu ~at ~attrs:(target t)
+    | Barrier_start { cpu; _ } -> waiting.(cpu) <- true
+    | Watchdog_retry { cpu; at; target = t } ->
+        span "initiator.watchdog-retry" ~cpu ~at ~attrs:(target t)
+    | Watchdog_escalate { cpu; at; target = t; pmap; retries; phase; note } ->
+        span "initiator.watchdog-escalate" ~cpu ~at ~attrs:(target t);
+        span "watchdog.escalation" ~cpu ~at
+          ~attrs:
+            [
+              ("missing", Trace.Int t);
+              ("pmap", Trace.Str pmap);
+              ("retries", Trace.Int retries);
+              ("missing_phase", Trace.Str phase);
+              ("missing_note", Trace.Str note);
+            ]
+    | Barrier_done { cpu; at; _ } ->
+        if waiting.(cpu) then begin
+          waiting.(cpu) <- false;
+          span "initiator.barrier-done" ~cpu ~at
+        end
+    | Round_unlock { cpu; at } ->
+        (* only a round that really shot has an initiator.start *)
+        if not (Float.is_nan started.(cpu)) then
+          since started.(cpu) "initiator.update-done" ~cpu ~at
+    | Responder_enter { cpu; at; _ } ->
+        entered.(cpu) <- at;
+        span "responder.enter" ~cpu ~at
+    | Responder_ack { cpu; at } -> since entered.(cpu) "responder.ack" ~cpu ~at
+    | Responder_drain { cpu; at } -> span "responder.drain" ~cpu ~at
+    | Responder_done { cpu; at } -> span "responder.done" ~cpu ~at
+    | Idle_drain { cpu; at } -> span "idle.drain" ~cpu ~at
+    | Tlb { cpu; at; space; pages; flush } ->
+        span
+          (if flush then "tlb.flush" else "tlb.invalidate")
+          ~cpu ~at
+          ~attrs:[ ("space", Trace.Int space); ("pages", Trace.Int pages) ]
+    | Round_lock _ | Round_shoot _ | Round_no_shoot _ | Round_abort _
+    | Update_done _ | Round_end _ | Stall_start _ | Stall_end _
+    | Drain_start _ | Drain_end _ | Responder_exit _ ->
         ()
-
-let label_of = function
-  | 10 -> "initiator: enter (lock held, local TLB invalidated)"
-  | 11 -> "initiator: queue action for cpu%d, set action-needed"
-  | 12 -> "initiator: send IPI to cpu%d"
-  | 13 -> "initiator: all acknowledgements in - updating pmap"
-  | 14 -> "initiator: update done, pmap unlocked"
-  | 15 -> "initiator: watchdog timeout - re-interrupting cpu%d"
-  | 16 -> "initiator: retries exhausted - abandoning cpu%d (escalate)"
-  | 20 -> "responder: interrupt dispatched"
-  | 21 -> "responder: acknowledged (left active set), spinning on lock"
-  | 22 -> "responder: lock released - draining action queue"
-  | 23 -> "responder: done, rejoined active set"
-  | 24 -> "idle processor: drained queued actions before dispatch"
-  | n -> Printf.sprintf "custom event %d" n
-
-let is_trace_event (e : Xpr.event) =
-  match e.Xpr.code with Xpr.Custom n -> n >= 10 && n <= 24 | _ -> false
-
-(* Chronological per-CPU rendering of the recorded trace events. *)
-let render xpr =
-  let events = Instrument.Xpr.filter xpr is_trace_event in
-  match events with
-  | [] -> "(no trace events recorded; call Shoot_trace.enable () first)\n"
-  | first :: _ ->
-      let t0 = first.Xpr.timestamp in
-      let buf = Buffer.create 2048 in
-      Buffer.add_string buf
-        "Anatomy of a shootdown (relative microseconds, per-CPU)\n\n";
-      List.iter
-        (fun (e : Xpr.event) ->
-          let code = match e.Xpr.code with Xpr.Custom n -> n | _ -> 0 in
-          let label = label_of code in
-          let label =
-            if
-              code = c_queue_action || code = c_ipi_sent
-              || code = c_watchdog_retry
-              || code = c_watchdog_escalate
-            then
-              Printf.sprintf
-                (Scanf.format_from_string label "%d")
-                e.Xpr.arg2
-            else label
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%9.1f  cpu%-2d  %s\n"
-               (e.Xpr.timestamp -. t0)
-               e.Xpr.cpu label))
-        events;
-      Buffer.contents buf

@@ -1,69 +1,13 @@
-(** Detailed tracing of individual shootdowns, for the "anatomy" views
-    and the structured span stream (see [docs/OBSERVABILITY.md]).
+(** The shootdown span stream (see [docs/OBSERVABILITY.md]): a consumer
+    of the protocol's probe stream that emits each phase transition of
+    the initiator and of every responder as a named [Instrument.Trace]
+    span with typed attributes — [initiator.start], [initiator.ipi],
+    [responder.ack], [tlb.flush], ... — for the [tlbshoot trace] views
+    and the Perfetto export. *)
 
-    Every phase transition of the initiator and of each responder is
-    recorded two ways: as an [Instrument.Xpr] [Custom] event when
-    {!enable}d (off by default — the summary initiator/responder events
-    are always on), and as a named [Instrument.Trace] span with typed
-    attributes whenever a tracer is attached to the context (one branch
-    of cost while [ctx.trace] is [None]). *)
-
-(** {1 Event codes}
-
-    [Xpr.Custom] payloads, one per protocol phase of Figure 1.  [arg2]
-    carries the target CPU where noted. *)
-
-val c_initiator_start : int
-val c_queue_action : int
-(** [arg2] = target cpu; the span also records the target's queue depth
-    and overflow flag, read under the still-held queue lock. *)
-
-val c_ipi_sent : int
-(** [arg2] = target cpu *)
-
-val c_barrier_done : int
-val c_update_done : int
-
-val c_watchdog_retry : int
-(** [arg2] = re-interrupted cpu *)
-
-val c_watchdog_escalate : int
-(** [arg2] = abandoned cpu *)
-
-val c_resp_enter : int
-val c_resp_ack : int
-val c_resp_drain : int
-val c_resp_done : int
-val c_idle_drain : int
-
-(** {1 Switching the xpr side on} *)
-
-val enabled : bool ref
-val enable : unit -> unit
-val disable : unit -> unit
-
-(** {1 Recording} *)
-
-val record : Pmap.ctx -> code:int -> cpu:int -> ?arg2:int -> unit -> unit
-(** Record one phase transition: into the xpr buffer when {!enabled},
-    and as a span when a tracer is attached. *)
-
-val record_tlb :
-  Pmap.ctx -> cpu:int -> space:int -> pages:int -> flush:bool -> unit
-(** The flush-vs-invalidate decision of the responder/initiator TLB work
-    (omitted detail 1 of Figure 1); span stream only. *)
-
-(** {1 Rendering} *)
-
-val span_name : int -> string
-(** Stable span name for an event code, e.g. ["initiator.ipi"]. *)
-
-val label_of : int -> string
-(** Human-readable label for the anatomy log; codes taking a target CPU
-    embed a [%d] hole the renderer fills from [arg2]. *)
-
-val is_trace_event : Instrument.Xpr.event -> bool
-
-val render : Instrument.Xpr.t -> string
-(** Chronological per-CPU log of the recorded trace events — the
-    Figure 1 protocol made visible. *)
+val observer : Instrument.Trace.t -> ncpus:int -> Instrument.Probe.t -> unit
+(** [observer tr ~ncpus] folds one machine's probes into spans on [tr]
+    ([Vm.Machine.attach_trace] subscribes it).  It keeps the per-CPU
+    pairing timestamps that give [responder.ack] (since
+    [responder.enter]) and [initiator.update-done] (since
+    [initiator.start]) their [dur], so build one per machine. *)

@@ -15,20 +15,31 @@
    The same entry point also implements the alternative consistency
    policies used as baselines: Timer_flush (section 3, technique 2),
    Hw_remote (section 9, MC88200-style remote invalidation) and
-   No_consistency (for the failure-detection tests). *)
+   No_consistency (for the failure-detection tests).
+
+   Observation is factored out (docs/OBSERVABILITY.md): each protocol
+   point emits one Instrument.Probe event, and the span stream, the
+   flight recorder and the profiler's brackets are consumers of that
+   stream.  An event is built only once a consumer is known to exist, so
+   a detached stream costs one branch per point and allocates nothing;
+   consumers only read the clock and draw nothing from any PRNG, so an
+   observed run is byte-identical to a bare one. *)
 
 module Addr = Hw.Addr
 module Page_table = Hw.Page_table
 module Mmu = Hw.Mmu
 module Tlb = Hw.Tlb
 module Xpr = Instrument.Xpr
-module Flight = Instrument.Flight
 
-(* Flight-recorder hook (docs/TAIL.md): one branch of cost while no
-   recorder is attached — the same contract as tracing and profiling.
-   The hooks only read the clock; they never advance it and draw nothing
-   from any PRNG, so a recorded run is byte-identical to a bare one. *)
-let fl ctx f = match ctx.Pmap.flight with Some rec_ -> f rec_ | None -> ()
+let probing = Pmap.probing
+let probe = Pmap.probe
+let now = Sim.Cpu.now
+
+(* The flush-vs-invalidate decision of some TLB work on [cpu]. *)
+let probe_tlb ctx ~cpu ~space ~pages ~flush =
+  if probing ctx then
+    probe ctx
+      (Tlb { cpu; at = Sim.Engine.now ctx.Pmap.eng; space; pages; flush })
 
 (* ------------------------------------------------------------------ *)
 (* TLB invalidation: below the threshold invalidate entries one at a
@@ -44,53 +55,46 @@ let fl ctx f = match ctx.Pmap.flight with Some rec_ -> f rec_ | None -> ()
 let range_pages ranges =
   List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 ranges
 
-let invalidate_local_ranges ctx (cpu : Sim.Cpu.t) ~space ~ranges =
+let invalidate_local ctx (cpu : Sim.Cpu.t) ~space ~ranges =
   let params = ctx.Pmap.params in
   let tlb = Mmu.tlb ctx.Pmap.mmus.(Sim.Cpu.id cpu) in
   let pages = range_pages ranges in
   let flush = pages >= params.tlb_flush_threshold in
-  Shoot_trace.record_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space ~pages ~flush;
+  probe_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space ~pages ~flush;
   if flush then begin
     Tlb.flush_all tlb;
     Sim.Cpu.raw_delay cpu params.tlb_flush_cost
   end
   else begin
-    List.iter
-      (fun (lo, hi) -> Tlb.invalidate_range tlb ~space ~lo ~hi)
-      ranges;
+    List.iter (fun (lo, hi) -> Tlb.invalidate_range tlb ~space ~lo ~hi) ranges;
     Sim.Cpu.raw_delay cpu
       (params.tlb_entry_invalidate_cost *. float_of_int pages)
   end
 
-let invalidate_local ctx (cpu : Sim.Cpu.t) ~space ~lo ~hi =
-  invalidate_local_ranges ctx cpu ~space ~ranges:[ (lo, hi) ]
+(* Flush one space's entries from [cpu]'s TLB, or all of them when
+   [space] is -1, at the flush cost; [pages] is the work it stands in
+   for. *)
+let flush ctx (cpu : Sim.Cpu.t) ~space ~pages =
+  let tlb = Mmu.tlb ctx.Pmap.mmus.(Sim.Cpu.id cpu) in
+  probe_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space ~pages ~flush:true;
+  if space < 0 then Tlb.flush_all tlb else Tlb.flush_space tlb ~space;
+  Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
 
 let perform_action ctx (cpu : Sim.Cpu.t) = function
   | Action.Invalidate_range { space; lo; hi } ->
-      let params = ctx.Pmap.params in
-      if params.tlb_asid_tagged then begin
-        (* Tagged TLBs may hold entries for spaces that are not the
-           current one; flush the whole space when it is foreign
-           (section 10's suggested responder change). *)
-        let current =
-          match ctx.Pmap.current_user.(Sim.Cpu.id cpu) with
-          | Some p -> p.Pmap.space_id
-          | None -> -1
-        in
-        if space <> 0 && space <> current then begin
-          Shoot_trace.record_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space
-            ~pages:(hi - lo) ~flush:true;
-          Tlb.flush_space (Mmu.tlb ctx.Pmap.mmus.(Sim.Cpu.id cpu)) ~space;
-          Sim.Cpu.raw_delay cpu params.tlb_flush_cost
-        end
-        else invalidate_local ctx cpu ~space ~lo ~hi
-      end
-      else invalidate_local ctx cpu ~space ~lo ~hi
-  | Action.Flush_space space ->
-      Shoot_trace.record_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space ~pages:0
-        ~flush:true;
-      Tlb.flush_space (Mmu.tlb ctx.Pmap.mmus.(Sim.Cpu.id cpu)) ~space;
-      Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
+      (* Tagged TLBs may hold entries for spaces that are not the current
+         one; flush the whole space when it is foreign (section 10's
+         suggested responder change). *)
+      let foreign =
+        ctx.Pmap.params.tlb_asid_tagged && space <> 0
+        &&
+        match ctx.Pmap.current_user.(Sim.Cpu.id cpu) with
+        | Some p -> p.Pmap.space_id <> space
+        | None -> true
+      in
+      if foreign then flush ctx cpu ~space ~pages:(hi - lo)
+      else invalidate_local ctx cpu ~space ~ranges:[ (lo, hi) ]
+  | Action.Flush_space space -> flush ctx cpu ~space ~pages:0
 
 (* Drain this CPU's action queue (queue lock held by callee).  Returns
    [true] if any drained action targeted the kernel pmap, for attributing
@@ -98,7 +102,7 @@ let perform_action ctx (cpu : Sim.Cpu.t) = function
 let process_queued_actions ctx (cpu : Sim.Cpu.t) =
   let id = Sim.Cpu.id cpu in
   let q = ctx.Pmap.queues.(id) in
-  Sim.Cpu.prof_enter cpu Instrument.Profile.Queue_drain;
+  if probing ctx then probe ctx (Drain_start { cpu = id; at = now cpu });
   let saved = Sim.Spinlock.acquire q.Action.lock cpu in
   let work = Action.drain q in
   (* action_needed is cleared before the invalidations are performed:
@@ -111,18 +115,14 @@ let process_queued_actions ctx (cpu : Sim.Cpu.t) =
      responder drains its queue — clearing action_needed, satisfying the
      initiator — but never touches its TLB, leaving the stale mapping
      live.  Never set outside checker runs. *)
-  let skip_invalidate =
-    ctx.Pmap.mutant = Pmap.Skip_responder_invalidate
-  in
+  let skip_invalidate = ctx.Pmap.mutant = Pmap.Skip_responder_invalidate in
   let touched_kernel =
     match work with
     | `Flush_everything ->
         (* queue overflowed: the whole TLB goes, whatever was queued *)
-        Shoot_trace.record_tlb ctx ~cpu:id ~space:(-1) ~pages:0 ~flush:true;
-        if not skip_invalidate then begin
-          Tlb.flush_all (Mmu.tlb ctx.Pmap.mmus.(id));
-          Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
-        end;
+        if skip_invalidate then
+          probe_tlb ctx ~cpu:id ~space:(-1) ~pages:0 ~flush:true
+        else flush ctx cpu ~space:(-1) ~pages:0;
         true
     | `Actions actions ->
         let touched_kernel =
@@ -150,17 +150,12 @@ let process_queued_actions ctx (cpu : Sim.Cpu.t) =
           ctx.Pmap.params.batch_shootdowns
           && List.length actions > 1
           && total_pages >= ctx.Pmap.params.tlb_flush_threshold
-        then begin
-          Shoot_trace.record_tlb ctx ~cpu:id ~space:(-1) ~pages:total_pages
-            ~flush:true;
-          Tlb.flush_all (Mmu.tlb ctx.Pmap.mmus.(id));
-          Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
-        end
+        then flush ctx cpu ~space:(-1) ~pages:total_pages
         else List.iter (perform_action ctx cpu) actions;
         touched_kernel
   in
   ctx.Pmap.draining.(id) <- false;
-  Sim.Cpu.prof_leave cpu;
+  if probing ctx then probe ctx (Drain_end { cpu = id; at = now cpu });
   touched_kernel
 
 (* ------------------------------------------------------------------ *)
@@ -171,12 +166,8 @@ let process_queued_actions ctx (cpu : Sim.Cpu.t) =
    invalidate and return immediately instead of stalling: the reload
    handler performs any necessary stall itself (section 9). *)
 let responder_must_stall (params : Sim.Params.t) =
-  match params.Sim.Params.tlb_reload with
-  | Sim.Params.Software_reload
-    when params.Sim.Params.tlb_interlocked_refmod
-         || not params.Sim.Params.tlb_refmod_writeback ->
-      false
-  | Sim.Params.Software_reload | Sim.Params.Hardware_reload -> true
+  params.tlb_reload = Sim.Params.Hardware_reload
+  || (params.tlb_refmod_writeback && not params.tlb_interlocked_refmod)
 
 let relevant_pmap_locked ctx (cpu : Sim.Cpu.t) =
   let id = Sim.Cpu.id cpu in
@@ -189,17 +180,27 @@ let relevant_pmap_locked ctx (cpu : Sim.Cpu.t) =
          p.Pmap.in_use.(id) && Sim.Spinlock.is_locked p.Pmap.lock)
        ctx.Pmap.kernel_pool_pmaps
 
+(* Spin, interrupts masked, until no relevant pmap is being updated: a
+   responder's phase-2 stall, and the idle check's wait. *)
+let stall ctx (cpu : Sim.Cpu.t) =
+  let id = Sim.Cpu.id cpu in
+  if probing ctx then probe ctx (Stall_start { cpu = id; at = now cpu });
+  while relevant_pmap_locked ctx cpu do
+    Sim.Cpu.spin_poll_masked cpu
+  done;
+  if probing ctx then probe ctx (Stall_end { cpu = id; at = now cpu })
+
 (* The shootdown interrupt service routine.  A single activation services
    every shootdown in progress (the while loop), which is also why further
    shootdown interrupts are blocked while it runs. *)
 let responder ctx (cpu : Sim.Cpu.t) =
   let id = Sim.Cpu.id cpu in
   ctx.Pmap.shoot_phase.(id) <- "responding";
-  Shoot_trace.record ctx ~code:Shoot_trace.c_resp_enter ~cpu:id ();
-  let entered = Sim.Cpu.now cpu in
-  fl ctx (fun f ->
-      Flight.responder_enter f ~cpu:id ~at:entered
-        ~posted:cpu.Sim.Cpu.last_shoot_posted_at);
+  let entered = now cpu in
+  if probing ctx then
+    probe ctx
+      (Responder_enter
+         { cpu = id; at = entered; posted = cpu.Sim.Cpu.last_shoot_posted_at });
   let saved = Sim.Cpu.set_ipl cpu Sim.Interrupt.ipl_high in
   (* Rejoin the set we were found in: an interrupt caught by an idle
      processor (raced against going idle) must not mark it active, or a
@@ -218,31 +219,21 @@ let responder ctx (cpu : Sim.Cpu.t) =
     (* the active set is kernel shared state, homed on node 0 *)
     Sim.Bus.access ctx.Pmap.bus ~who:id ~home:0 ();
     cpu.Sim.Cpu.note <- "responder-spin";
-    Shoot_trace.record ctx ~code:Shoot_trace.c_resp_ack ~cpu:id ();
-    fl ctx (fun f -> Flight.responder_ack f ~cpu:id ~at:(Sim.Cpu.now cpu));
-    if responder_must_stall ctx.Pmap.params then begin
-      Sim.Cpu.prof_enter cpu Instrument.Profile.Ack_wait;
-      while relevant_pmap_locked ctx cpu do
-        Sim.Cpu.spin_poll_masked cpu
-      done;
-      Sim.Cpu.prof_leave cpu
-    end;
+    if probing ctx then probe ctx (Responder_ack { cpu = id; at = now cpu });
+    if responder_must_stall ctx.Pmap.params then stall ctx cpu;
     (* Phase 4: drain the queued invalidations and rejoin. *)
-    Shoot_trace.record ctx ~code:Shoot_trace.c_resp_drain ~cpu:id ();
-    fl ctx (fun f -> Flight.responder_drain f ~cpu:id ~at:(Sim.Cpu.now cpu));
+    if probing ctx then probe ctx (Responder_drain { cpu = id; at = now cpu });
     if process_queued_actions ctx cpu then touched_kernel := true;
     ctx.Pmap.active.(id) <- was_active;
     Sim.Bus.access ctx.Pmap.bus ~who:id ~home:0 ()
   done;
   ctx.Pmap.shoot_phase.(id) <- "responded";
-  if !did_work then begin
-    Shoot_trace.record ctx ~code:Shoot_trace.c_resp_done ~cpu:id ();
-    fl ctx (fun f -> Flight.responder_done f ~cpu:id ~at:(Sim.Cpu.now cpu))
-  end;
+  if !did_work && probing ctx then
+    probe ctx (Responder_done { cpu = id; at = now cpu });
   Sim.Cpu.restore_ipl cpu saved;
-  let elapsed = Sim.Cpu.now cpu -. entered in
+  if probing ctx then probe ctx (Responder_exit { cpu = id; at = now cpu });
+  let elapsed = now cpu -. entered in
   ctx.Pmap.shootdown_responder_time <- ctx.Pmap.shootdown_responder_time +. elapsed;
-  if !did_work then Sim.Cpu.prof_observe cpu ~name:"shoot/responder_us" elapsed;
   (* Spurious activations (the action was already drained by the idle
      check before the interrupt landed) are not responses to anything and
      are not recorded. *)
@@ -261,14 +252,10 @@ let idle_check ctx (cpu : Sim.Cpu.t) =
     let saved = Sim.Cpu.set_ipl cpu Sim.Interrupt.ipl_high in
     while ctx.Pmap.action_needed.(id) do
       cpu.Sim.Cpu.note <- "idle-check-spin";
-      Sim.Cpu.prof_enter cpu Instrument.Profile.Ack_wait;
-      while relevant_pmap_locked ctx cpu do
-        Sim.Cpu.spin_poll_masked cpu
-      done;
-      Sim.Cpu.prof_leave cpu;
+      stall ctx cpu;
       ignore (process_queued_actions ctx cpu)
     done;
-    Shoot_trace.record ctx ~code:Shoot_trace.c_idle_drain ~cpu:id ();
+    if probing ctx then probe ctx (Idle_drain { cpu = id; at = now cpu });
     cpu.Sim.Cpu.note <- "idle-check-done";
     Sim.Cpu.restore_ipl cpu saved
   end
@@ -284,15 +271,12 @@ let install ctx =
 
 let send_ipis ctx (cpu : Sim.Cpu.t) targets =
   let params = ctx.Pmap.params in
-  let eng = ctx.Pmap.eng in
   let me = Sim.Cpu.id cpu in
   let post target =
-    Shoot_trace.record ctx ~code:Shoot_trace.c_ipi_sent ~cpu:me
-      ~arg2:(Sim.Cpu.id target) ();
-    fl ctx (fun f ->
-        Flight.ipi_posted f ~cpu:me ~target:(Sim.Cpu.id target)
-          ~at:(Sim.Cpu.now cpu));
-    Sim.Engine.after eng params.ipi_latency (fun () ->
+    if probing ctx then
+      probe ctx
+        (Ipi_posted { cpu = me; at = now cpu; target = Sim.Cpu.id target });
+    Sim.Engine.after ctx.Pmap.eng params.ipi_latency (fun () ->
         Sim.Cpu.post target Sim.Interrupt.Shootdown)
   in
   match params.ipi_mode with
@@ -357,33 +341,6 @@ let send_ipis ctx (cpu : Sim.Cpu.t) targets =
           ctx.Pmap.cpus
       end
 
-(* Watchdog escalation: the initiator gives up waiting on one responder.
-   Instead of the paper's silent infinite spin, dump a structured
-   diagnostic — who is missing, what it was last seen doing, which pmap
-   and when — and let [shoot] report the abandoned CPU upward so
-   [with_update] can force-invalidate its TLB after the update. *)
-let escalate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~(target : Sim.Cpu.t)
-    ~retries =
-  let me = Sim.Cpu.id cpu in
-  let oid = Sim.Cpu.id target in
-  ctx.Pmap.watchdog_escalations <- ctx.Pmap.watchdog_escalations + 1;
-  Shoot_trace.record ctx ~code:Shoot_trace.c_watchdog_escalate ~cpu:me
-    ~arg2:oid ();
-  match ctx.Pmap.trace with
-  | None -> ()
-  | Some tr ->
-      Instrument.Trace.emit tr ~name:"watchdog.escalation" ~cpu:me
-        ~at:(Sim.Cpu.now cpu)
-        ~attrs:
-          [
-            ("missing", Instrument.Trace.Int oid);
-            ("pmap", Instrument.Trace.Str pmap.Pmap.pname);
-            ("retries", Instrument.Trace.Int retries);
-            ("missing_phase", Instrument.Trace.Str ctx.Pmap.shoot_phase.(oid));
-            ("missing_note", Instrument.Trace.Str target.Sim.Cpu.note);
-          ]
-        ()
-
 (* The Mach shootdown initiator proper (phases 1-3). Caller holds the pmap
    lock and has decided an inconsistency is possible.  Queues one range
    action per coalesced range — a batched flush therefore needs only this
@@ -397,11 +354,11 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
   let params = ctx.Pmap.params in
   let me = Sim.Cpu.id cpu in
   ctx.Pmap.shootdowns_initiated <- ctx.Pmap.shootdowns_initiated + 1;
-  fl ctx (fun f -> Flight.round_shoot f ~cpu:me ~at:(Sim.Cpu.now cpu));
+  if probing ctx then probe ctx (Round_shoot { cpu = me; at = now cpu });
   (* Local TLB first: the initiator's own buffer may hold the mapping. *)
   if pmap.Pmap.in_use.(me) then
-    invalidate_local_ranges ctx cpu ~space:pmap.Pmap.space_id ~ranges;
-  Shoot_trace.record ctx ~code:Shoot_trace.c_initiator_start ~cpu:me ();
+    invalidate_local ctx cpu ~space:pmap.Pmap.space_id ~ranges;
+  if probing ctx then probe ctx (Initiator_start { cpu = me; at = now cpu });
   let shot_at = ref 0 in
   let abandoned = ref [] in
   if Pmap.other_users ctx pmap ~me then begin
@@ -430,8 +387,16 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
                  homed on the responder's node *)
               Sim.Bus.access ctx.Pmap.bus ~n:4 ~who:me ~home:oid ())
             ranges;
-          Shoot_trace.record ctx ~code:Shoot_trace.c_queue_action ~cpu:me
-            ~arg2:oid ();
+          if probing ctx then
+            probe ctx
+              (Queue_action
+                 {
+                   cpu = me;
+                   at = now cpu;
+                   target = oid;
+                   depth = q.Action.count;
+                   overflow = q.Action.overflow;
+                 });
           Sim.Spinlock.release q.Action.lock cpu ~saved_ipl:saved;
           if not other.Sim.Cpu.idle then begin
             incr shot_at;
@@ -461,81 +426,78 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
       else fun oid ->
         (not ctx.Pmap.action_needed.(oid)) || not pmap.Pmap.in_use.(oid)
     in
-    let timeout = params.shoot_watchdog_timeout in
-    let barrier_started = Sim.Cpu.now cpu in
-    fl ctx (fun f -> Flight.barrier_start f ~cpu:me ~at:barrier_started);
-    Sim.Cpu.prof_enter cpu Instrument.Profile.Ack_wait;
+    (* Watchdog: sim time is compared against a deadline after each poll
+       (no extra cost, no PRNG draws; disabled, the timeout is infinite:
+       the paper's original unbounded spin).  A timeout re-sends the IPI —
+       the original may have been lost — and the deadline rearms; after
+       [shoot_watchdog_retries] re-sends the responder is abandoned and
+       reported to the caller for forced invalidation. *)
+    let timeout =
+      if params.shoot_watchdog_timeout <= 0.0 then infinity
+      else params.shoot_watchdog_timeout
+    in
+    if probing ctx then probe ctx (Barrier_start { cpu = me; at = now cpu });
     List.iter
       (fun (other : Sim.Cpu.t) ->
         let oid = Sim.Cpu.id other in
-        cpu.Sim.Cpu.note <- Printf.sprintf "await-ack:%d" oid;
-        if timeout <= 0.0 then
-          (* watchdog disabled: the paper's original unbounded spin *)
-          while not (acked oid) do
-            Sim.Cpu.spin_poll_masked cpu
-          done
-        else begin
-          (* Watchdog: the identical spin loop, except that sim time is
-             compared against a deadline after each poll (no extra cost,
-             no PRNG draws).  A timeout re-sends the IPI — the original
-             may have been lost — and the deadline rearms; after
-             [shoot_watchdog_retries] re-sends the responder is abandoned
-             and reported to the caller for forced invalidation. *)
-          let deadline = ref (Sim.Cpu.now cpu +. timeout) in
-          let retries = ref 0 in
-          let waiting = ref true in
-          while !waiting && not (acked oid) do
-            Sim.Cpu.spin_poll_masked cpu;
-            if (not (acked oid)) && Sim.Cpu.now cpu >= !deadline then
-              if !retries < params.shoot_watchdog_retries then begin
-                incr retries;
-                ctx.Pmap.watchdog_retries <- ctx.Pmap.watchdog_retries + 1;
-                Shoot_trace.record ctx ~code:Shoot_trace.c_watchdog_retry
-                  ~cpu:me ~arg2:oid ();
-                fl ctx (fun f ->
-                    let at = Sim.Cpu.now cpu in
-                    Flight.retry f ~cpu:me ~at;
-                    (* a real IPI on the wire; r_posted keeps the
-                       original raise for delivery attribution *)
-                    Flight.ipi_posted f ~cpu:me ~target:oid ~at);
-                Sim.Cpu.raw_delay cpu params.ipi_send_cost;
-                Sim.Bus.access ctx.Pmap.bus ~who:me ~home:oid ();
-                ctx.Pmap.ipis_sent <- ctx.Pmap.ipis_sent + 1;
-                Sim.Engine.after ctx.Pmap.eng params.ipi_latency (fun () ->
-                    Sim.Cpu.post other Sim.Interrupt.Shootdown);
-                deadline := Sim.Cpu.now cpu +. timeout
-              end
-              else begin
-                escalate ctx cpu pmap ~target:other ~retries:!retries;
-                abandoned := oid :: !abandoned;
-                waiting := false
-              end
-          done;
-          if !waiting && !retries > 0 then
-            ctx.Pmap.watchdog_recoveries <- ctx.Pmap.watchdog_recoveries + 1
-        end)
-      shoot_list;
-    Sim.Cpu.prof_leave cpu;
-    Sim.Cpu.prof_observe cpu ~name:"shoot/barrier_us"
-      (Sim.Cpu.now cpu -. barrier_started);
-    fl ctx (fun f -> Flight.barrier_done f ~cpu:me ~at:(Sim.Cpu.now cpu));
-    Shoot_trace.record ctx ~code:Shoot_trace.c_barrier_done ~cpu:me ()
+        cpu.Sim.Cpu.note <- ctx.Pmap.ack_notes.(oid);
+        let deadline = ref (now cpu +. timeout) in
+        let retries = ref 0 in
+        let waiting = ref true in
+        while !waiting && not (acked oid) do
+          Sim.Cpu.spin_poll_masked cpu;
+          if (not (acked oid)) && now cpu >= !deadline then
+            if !retries < params.shoot_watchdog_retries then begin
+              incr retries;
+              ctx.Pmap.watchdog_retries <- ctx.Pmap.watchdog_retries + 1;
+              if probing ctx then
+                probe ctx
+                  (Watchdog_retry { cpu = me; at = now cpu; target = oid });
+              Sim.Cpu.raw_delay cpu params.ipi_send_cost;
+              Sim.Bus.access ctx.Pmap.bus ~who:me ~home:oid ();
+              ctx.Pmap.ipis_sent <- ctx.Pmap.ipis_sent + 1;
+              Sim.Engine.after ctx.Pmap.eng params.ipi_latency (fun () ->
+                  Sim.Cpu.post other Sim.Interrupt.Shootdown);
+              deadline := now cpu +. timeout
+            end
+            else begin
+              (* Escalation: instead of the paper's silent infinite spin,
+                 report who is missing and what it was last seen doing,
+                 and abandon it — [with_update] force-invalidates its TLB
+                 after the update. *)
+              ctx.Pmap.watchdog_escalations <-
+                ctx.Pmap.watchdog_escalations + 1;
+              if probing ctx then
+                probe ctx
+                  (Watchdog_escalate
+                     {
+                       cpu = me;
+                       at = now cpu;
+                       target = oid;
+                       pmap = pmap.Pmap.pname;
+                       retries = !retries;
+                       phase = ctx.Pmap.shoot_phase.(oid);
+                       note = other.Sim.Cpu.note;
+                     });
+              abandoned := oid :: !abandoned;
+              waiting := false
+            end
+        done;
+        if !waiting && !retries > 0 then
+          ctx.Pmap.watchdog_recoveries <- ctx.Pmap.watchdog_recoveries + 1)
+      shoot_list
     end
   end;
-  (* A round with no remote users (or the checker's skip-barrier mutant)
-     never reached the barrier: collapse Post/Ack_wait here.  First
-     write wins, so a barrier that ran keeps its real boundaries. *)
-  fl ctx (fun f ->
-      let at = Sim.Cpu.now cpu in
-      Flight.barrier_start f ~cpu:me ~at;
-      Flight.barrier_done f ~cpu:me ~at);
-  let elapsed = Sim.Cpu.now cpu -. started in
+  (* Phase 2 is over — or, with no remote users (or the checker's
+     skip-barrier mutant), there was nobody to wait for. *)
+  if probing ctx then
+    probe ctx (Barrier_done { cpu = me; at = now cpu; shot = !shot_at });
+  let elapsed = now cpu -. started in
   (* A shootdown event proper requires somebody to shoot at; invocations
      that found no other processor using the pmap only did local work. *)
   if !shot_at > 0 then begin
     ctx.Pmap.shootdown_initiator_time <-
       ctx.Pmap.shootdown_initiator_time +. elapsed;
-    Sim.Cpu.prof_observe cpu ~name:"shoot/initiator_us" elapsed;
     Xpr.record ctx.Pmap.xpr ~code:Xpr.Shoot_initiator ~cpu:me
       ~timestamp:(Sim.Cpu.now cpu)
       ~arg1:(if pmap.Pmap.is_kernel then 1 else 0)
@@ -544,60 +506,20 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
   List.rev !abandoned
 
 (* MC88200-style hardware remote invalidation (section 9): the initiator
-   shoots entries directly out of remote TLBs; no interrupts, no barrier.
-   Requires an MMU whose ref/mod updates are interlocked. *)
-let hw_remote_invalidate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges =
+   shoots [ranges] of [pmap] directly out of CPU [oid]'s TLB, one bus
+   invalidation transaction per page (or one for a flush); no interrupt,
+   no barrier.  Requires an MMU whose ref/mod updates are interlocked. *)
+let remote_invalidate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges oid =
   let params = ctx.Pmap.params in
-  Array.iter
-    (fun (other : Sim.Cpu.t) ->
-      let oid = Sim.Cpu.id other in
-      if pmap.Pmap.in_use.(oid) then begin
-        let tlb = Mmu.tlb ctx.Pmap.mmus.(oid) in
-        let pages = range_pages ranges in
-        if pages >= params.tlb_flush_threshold then
-          Tlb.flush_space tlb ~space:pmap.Pmap.space_id
-        else
-          List.iter
-            (fun (lo, hi) ->
-              Tlb.invalidate_range tlb ~space:pmap.Pmap.space_id ~lo ~hi)
-            ranges;
-        (* one bus invalidation transaction per page (or one for a flush) *)
-        let n = min pages params.tlb_flush_threshold in
-        Sim.Cpu.raw_delay cpu (params.tlb_entry_invalidate_cost *. float_of_int n);
-        Sim.Bus.access ctx.Pmap.bus ~n ~who:(Sim.Cpu.id cpu) ~home:oid ()
-      end)
-    ctx.Pmap.cpus
-
-(* Recovery for abandoned responders: with the pmap already updated (and
-   still locked), shoot the affected range out of each abandoned CPU's TLB
-   directly, Hw_remote-style.  Safe at this point for the same reason
-   Hw_remote is safe after the update: a hardware reload racing us reads
-   the already-final PTE, and any stale cached entry is destroyed before
-   the pmap lock is released.  Doing this *before* the update would be
-   unsound — the un-acknowledged CPU could re-cache the old mapping. *)
-let force_remote_invalidate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges
-    targets =
-  let params = ctx.Pmap.params in
-  List.iter
-    (fun oid ->
-      if pmap.Pmap.in_use.(oid) then begin
-        let tlb = Mmu.tlb ctx.Pmap.mmus.(oid) in
-        let pages = range_pages ranges in
-        if pages >= params.tlb_flush_threshold then
-          Tlb.flush_space tlb ~space:pmap.Pmap.space_id
-        else
-          List.iter
-            (fun (lo, hi) ->
-              Tlb.invalidate_range tlb ~space:pmap.Pmap.space_id ~lo ~hi)
-            ranges;
-        Shoot_trace.record_tlb ctx ~cpu:oid ~space:pmap.Pmap.space_id ~pages
-          ~flush:(pages >= params.tlb_flush_threshold);
-        let n = min pages params.tlb_flush_threshold in
-        Sim.Cpu.raw_delay cpu
-          (params.tlb_entry_invalidate_cost *. float_of_int n);
-        Sim.Bus.access ctx.Pmap.bus ~n ~who:(Sim.Cpu.id cpu) ~home:oid ()
-      end)
-    targets
+  let space = pmap.Pmap.space_id in
+  let tlb = Mmu.tlb ctx.Pmap.mmus.(oid) in
+  let pages = range_pages ranges in
+  if pages >= params.tlb_flush_threshold then Tlb.flush_space tlb ~space
+  else
+    List.iter (fun (lo, hi) -> Tlb.invalidate_range tlb ~space ~lo ~hi) ranges;
+  let n = min pages params.tlb_flush_threshold in
+  Sim.Cpu.raw_delay cpu (params.tlb_entry_invalidate_cost *. float_of_int n);
+  Sim.Bus.access ctx.Pmap.bus ~n ~who:(Sim.Cpu.id cpu) ~home:oid ()
 
 (* ------------------------------------------------------------------ *)
 (* Generation-tagged flush elision (docs/ELISION.md).
@@ -659,8 +581,9 @@ let elide_round ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) =
    (unmap / unmap-heavy batch): for those — and only with
    [Params.elide_reuse_flushes] on, for a user pmap with remote users —
    the round is elided via [elide_round] above. *)
-let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
-    (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~may_be_inconsistent ~update =
+let with_update_ranges ?(elide_reuse = false)
+    ?(origin = Instrument.Probe.Round) ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t)
+    ~ranges ~may_be_inconsistent ~update =
   let params = ctx.Pmap.params in
   let me = Sim.Cpu.id cpu in
   (* Completion hook for the consistency oracle (cost-free when absent).
@@ -678,7 +601,7 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
          System V restrictions (section 10, Thompson et al.). *)
       let saved = Sim.Spinlock.acquire pmap.Pmap.lock cpu in
       if may_be_inconsistent () && pmap.Pmap.in_use.(me) then
-        invalidate_local_ranges ctx cpu ~space:pmap.Pmap.space_id ~ranges;
+        invalidate_local ctx cpu ~space:pmap.Pmap.space_id ~ranges;
       update ();
       Sim.Spinlock.release pmap.Pmap.lock cpu ~saved_ipl:saved;
       check_oracle "update-complete"
@@ -686,7 +609,7 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
       let saved = Sim.Spinlock.acquire pmap.Pmap.lock cpu in
       let inconsistent = may_be_inconsistent () in
       if inconsistent && pmap.Pmap.in_use.(me) then
-        invalidate_local_ranges ctx cpu ~space:pmap.Pmap.space_id ~ranges;
+        invalidate_local ctx cpu ~space:pmap.Pmap.space_id ~ranges;
       update ();
       Sim.Spinlock.release pmap.Pmap.lock cpu ~saved_ipl:saved;
       (* Technique 2 (section 3): every CPU flushes its TLB on a periodic
@@ -707,30 +630,41 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
       let saved = Sim.Spinlock.acquire pmap.Pmap.lock cpu in
       let inconsistent = may_be_inconsistent () in
       update ();
-      if inconsistent then hw_remote_invalidate ctx cpu pmap ~ranges;
+      if inconsistent then
+        for oid = 0 to Pmap.ncpus ctx - 1 do
+          if pmap.Pmap.in_use.(oid) then
+            remote_invalidate ctx cpu pmap ~ranges oid
+        done;
       Sim.Spinlock.release pmap.Pmap.lock cpu ~saved_ipl:saved;
       check_oracle "update-complete"
   | Sim.Params.Shootdown ->
-      (* The flight record opens where the algorithm is entered, before
-         the active-set leave and the lock acquire, so Lock_wait covers
-         the full entry-to-locked interval. *)
-      fl ctx (fun f ->
-          Flight.round_start f ~cpu:me ~at:(Sim.Cpu.now cpu) ~kind:origin
-            ~pmap:pmap.Pmap.pname ~pages:(range_pages ranges));
+      let notes = pmap.Pmap.notes in
+      (* The round opens where the algorithm is entered, before the
+         active-set leave and the lock acquire. *)
+      if probing ctx then
+        probe ctx
+          (Round_start
+             {
+               cpu = me;
+               at = now cpu;
+               kind = origin;
+               pmap = pmap.Pmap.pname;
+               pages = range_pages ranges;
+             });
       (* Figure 1: disable interrupts and leave the active set first, so a
          concurrent initiator shooting at us cannot deadlock with our wait
          (we will service its actions when we re-enable interrupts). *)
       let s = Sim.Cpu.set_ipl cpu Sim.Interrupt.ipl_high in
       let was_active = ctx.Pmap.active.(me) in
       ctx.Pmap.active.(me) <- false;
-      ctx.Pmap.shoot_phase.(me) <- "acquiring:" ^ pmap.Pmap.pname;
+      ctx.Pmap.shoot_phase.(me) <- notes.acquiring;
       let saved = Sim.Spinlock.acquire pmap.Pmap.lock cpu in
-      ctx.Pmap.shoot_phase.(me) <- "locked:" ^ pmap.Pmap.pname;
+      ctx.Pmap.shoot_phase.(me) <- notes.locked;
       (* The measured "invocation" starts here: the paper's elapsed time
          runs from entering the algorithm to being able to change the
          pmap, including the fixed bookkeeping below. *)
-      let started = Sim.Cpu.now cpu in
-      fl ctx (fun f -> Flight.round_lock f ~cpu:me ~at:started);
+      let started = now cpu in
+      if probing ctx then probe ctx (Round_lock { cpu = me; at = started });
       Sim.Cpu.raw_delay cpu params.shoot_entry_cost;
       let inconsistent = may_be_inconsistent () in
       (* Elide the round when the caller vouches the update only removes
@@ -748,34 +682,26 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
       in
       let abandoned =
         if inconsistent && not elide then begin
-          ctx.Pmap.shoot_phase.(me) <- "shooting:" ^ pmap.Pmap.pname;
+          ctx.Pmap.shoot_phase.(me) <- notes.shooting;
           shoot ctx cpu pmap ~ranges ~pages:(range_pages ranges) ~started
         end
         else begin
           if not inconsistent then begin
+            (* the lazy check proved no consistency round necessary *)
             ctx.Pmap.shootdowns_skipped_lazy <-
               ctx.Pmap.shootdowns_skipped_lazy + 1;
-            (* the lazy check proved no consistency round necessary —
-               nothing to attribute, drop the open record *)
-            fl ctx (fun f -> Flight.round_abort f ~cpu:me)
+            if probing ctx then
+              probe ctx (Round_abort { cpu = me; at = now cpu })
           end
-          else
-            (* elided round: no IPIs, no barrier — Post and Ack_wait
-               collapse to zero width at the decision point *)
-            fl ctx (fun f ->
-                Flight.round_no_shoot f ~cpu:me ~at:(Sim.Cpu.now cpu)
-                  ~kind:Flight.Elided);
+          else if probing ctx then
+            probe ctx (Round_no_shoot { cpu = me; at = now cpu });
           []
         end
       in
       (* Phase 3: the pmap change itself. *)
-      ctx.Pmap.shoot_phase.(me) <- "updating:" ^ pmap.Pmap.pname;
-      let update_started = Sim.Cpu.now cpu in
+      ctx.Pmap.shoot_phase.(me) <- notes.updating;
       update ();
-      fl ctx (fun f -> Flight.update_done f ~cpu:me ~at:(Sim.Cpu.now cpu));
-      if inconsistent then
-        Sim.Cpu.prof_observe cpu ~name:"shoot/update_us"
-          (Sim.Cpu.now cpu -. update_started);
+      if probing ctx then probe ctx (Update_done { cpu = me; at = now cpu });
       (* An elided round publishes its generation bump after the PTEs are
          gone (mirroring Hw_remote's update-then-invalidate order): a
          hardware reload racing the update reads the already-cleared PTE
@@ -783,27 +709,36 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
          resurrect the dead mapping.  Still under the pmap lock, which
          serializes concurrent bumps of the same space. *)
       if elide then begin
-        ctx.Pmap.shoot_phase.(me) <- "gen-bump:" ^ pmap.Pmap.pname;
+        ctx.Pmap.shoot_phase.(me) <- notes.gen_bump;
         elide_round ctx cpu pmap
       end;
-      (* Recovery: responders the watchdog abandoned never acknowledged,
-         so their TLBs may still hold the old mapping — destroy it
-         directly while the pmap lock still serializes against reloads
-         through a half-changed table. *)
+      (* Recovery for responders the watchdog abandoned: they never
+         acknowledged, so their TLBs may still hold the old mapping.
+         With the pmap already updated and still locked, shoot the range
+         out of each one directly, Hw_remote-style — safe for the same
+         reason Hw_remote is: a reload racing us reads the final PTE.
+         Doing this before the update would be unsound, since the
+         un-acknowledged CPU could re-cache the old mapping. *)
       if abandoned <> [] then begin
-        ctx.Pmap.shoot_phase.(me) <- "force-invalidate:" ^ pmap.Pmap.pname;
-        force_remote_invalidate ctx cpu pmap ~ranges abandoned
+        ctx.Pmap.shoot_phase.(me) <- notes.force_invalidate;
+        let pages = range_pages ranges in
+        List.iter
+          (fun oid ->
+            if pmap.Pmap.in_use.(oid) then begin
+              probe_tlb ctx ~cpu:oid ~space:pmap.Pmap.space_id ~pages
+                ~flush:(pages >= params.tlb_flush_threshold);
+              remote_invalidate ctx cpu pmap ~ranges oid
+            end)
+          abandoned
       end;
       Sim.Spinlock.release pmap.Pmap.lock cpu ~saved_ipl:saved;
-      if inconsistent && not elide then
-        Shoot_trace.record ctx ~code:Shoot_trace.c_update_done ~cpu:me ();
+      if probing ctx then probe ctx (Round_unlock { cpu = me; at = now cpu });
       ctx.Pmap.shoot_phase.(me) <- "done";
       ctx.Pmap.active.(me) <- was_active;
-      (* The record closes here, *before* interrupts are re-enabled:
-         restore_ipl services any device interrupt that arrived while the
-         initiator ran masked, and that deferred handler time belongs to
-         the device, not to this round's Finish residual. *)
-      fl ctx (fun f -> Flight.round_end f ~cpu:me ~at:(Sim.Cpu.now cpu));
+      (* The round closes *before* interrupts are re-enabled: restore_ipl
+         services any device interrupt that arrived while the initiator
+         ran masked, and that handler time is not the round's. *)
+      if probing ctx then probe ctx (Round_end { cpu = me; at = now cpu });
       Sim.Cpu.restore_ipl cpu s;
       check_oracle "shootdown-complete"
 

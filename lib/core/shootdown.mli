@@ -34,7 +34,7 @@ val with_update :
 
 val with_update_ranges :
   ?elide_reuse:bool ->
-  ?origin:Instrument.Flight.kind ->
+  ?origin:Instrument.Probe.kind ->
   Pmap.ctx ->
   Sim.Cpu.t ->
   Pmap.t ->
@@ -49,10 +49,9 @@ val with_update_ranges :
     the fixed-size action queues into the responders' flush-everything
     path.  A singleton list is exactly {!with_update}.
 
-    [origin] (default [Instrument.Flight.Round]) tags the round's flight
-    record when a recorder is attached — [Gather.flush] passes
-    [Gather_flush]; an elided round is retagged [Elided] regardless
-    (docs/TAIL.md). *)
+    [origin] (default [Instrument.Probe.Round]) tags the round's
+    [Round_start] probe — [Gather.flush] passes [Gather_flush]; the flight
+    recorder retags an elided round [Elided] regardless (docs/TAIL.md). *)
 
 val gen_limit : int
 (** Generation-counter wrap budget: at this value the elision path runs a
@@ -73,12 +72,3 @@ val responder_must_stall : Sim.Params.t -> bool
 (** Whether responders must spin until the pmap update completes: false
     only for software-reloaded TLBs with safe ref/mod handling
     (section 9). *)
-
-val invalidate_local :
-  Pmap.ctx -> Sim.Cpu.t -> space:int -> lo:Hw.Addr.vpn -> hi:Hw.Addr.vpn -> unit
-(** Invalidate translations in the calling CPU's own TLB, choosing between
-    per-entry invalidates and a full flush by [Params.tlb_flush_threshold]. *)
-
-val process_queued_actions : Pmap.ctx -> Sim.Cpu.t -> bool
-(** Drain this CPU's consistency-action queue; [true] if any drained
-    action targeted the kernel pmap. *)

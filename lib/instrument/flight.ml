@@ -2,11 +2,12 @@
 
    The aggregate instrumentation (spans, profile buckets, HDR
    histograms) answers "where did the run's time go"; this recorder
-   answers "why was THIS round slow".  Core.Shootdown drives one causal
-   record per consistency round through the hooks below — initiator
-   start, pmap-lock acquire, queue/IPI posting, per-responder
-   delivery/enter/ack/drain, barrier release, PTE update, completion —
-   and at round completion the record is reduced to:
+   answers "why was THIS round slow".  It folds the protocol's probe
+   stream (Instrument.Probe, emitted by Core.Shootdown) into one causal
+   record per consistency round — initiator start, pmap-lock acquire,
+   IPI posting, per-responder delivery/enter/ack/drain, barrier release,
+   PTE update, completion — and at round completion the record is
+   reduced to:
 
      - an exact per-phase blame decomposition of the round's end-to-end
        latency (the six initiator phases below; the Finish phase absorbs
@@ -21,9 +22,10 @@
        aggregate means hide) and exact whole-run per-phase totals.
 
    Like Profile and Trace, a detached recorder costs the simulation one
-   branch and an attached one costs zero simulated time: the hooks only
-   read the clock, never advance it, and draw nothing from any PRNG —
-   a recorded run stays byte-identical to an unrecorded one.
+   branch per probe point and an attached one costs zero simulated time:
+   it only reads the probes' timestamps, never advances the clock, and
+   draws nothing from any PRNG — a recorded run stays byte-identical to
+   an unrecorded one.
 
    An attached [Timeline] receives the derived time series (rounds,
    IPIs, elisions, retries, round latency) as the rounds complete. *)
@@ -61,7 +63,7 @@ let phase_index = function
 let nphases = 6
 
 (* What kind of consistency round the record describes. *)
-type kind =
+type kind = Probe.kind =
   | Round (* an ordinary shootdown round (one pmap operation) *)
   | Gather_flush (* a gather batch retiring its deferred ranges *)
   | Elided (* the round was replaced by a generation bump *)
@@ -240,144 +242,6 @@ let top_k t = t.top_k
 let set_timeline t tl = t.timeline <- tl
 let timeline t = t.timeline
 
-(* --- initiator-side hooks (Core.Shootdown.with_update_ranges) --- *)
-
-let round_start t ~cpu ~at ~kind ~pmap ~pages =
-  let r =
-    {
-      seq = t.next_seq;
-      cpu;
-      kind;
-      pmap;
-      pages;
-      t_start = at;
-      t_lock = nan;
-      t_shoot = nan;
-      t_barrier = nan;
-      t_barrier_done = nan;
-      t_update_done = nan;
-      t_end = nan;
-      retries = 0;
-      responders = [];
-    }
-  in
-  t.next_seq <- t.next_seq + 1;
-  t.in_flight.(cpu) <- Some r
-
-let with_open t ~cpu f =
-  match t.in_flight.(cpu) with None -> () | Some r -> f r
-
-(* Chain setters are first-write-wins: Core.Shootdown fills any boundary
-   a round legitimately skipped (no remote users -> no barrier) with a
-   zero-width catch-up write at the skip point, and first-write-wins
-   keeps that fill from clobbering a boundary that really ran. *)
-let round_lock t ~cpu ~at =
-  with_open t ~cpu (fun r -> if Float.is_nan r.t_lock then r.t_lock <- at)
-
-let round_shoot t ~cpu ~at =
-  with_open t ~cpu (fun r -> if Float.is_nan r.t_shoot then r.t_shoot <- at)
-
-(* The update runs without a shootdown (elided round): collapse Post and
-   Ack_wait to zero width at the decision point. *)
-let round_no_shoot t ~cpu ~at ~kind =
-  match t.in_flight.(cpu) with
-  | None -> ()
-  | Some r ->
-      r.t_shoot <- at;
-      r.t_barrier <- at;
-      r.t_barrier_done <- at;
-      t.in_flight.(cpu) <- Some { r with kind }
-
-let ipi_posted t ~cpu ~target ~at =
-  t.ipis <- t.ipis + 1;
-  (match t.timeline with
-  | Some tl -> Timeline.count tl ~series:"ipis" ~at 1
-  | None -> ());
-  with_open t ~cpu (fun r ->
-      match List.find_opt (fun resp -> resp.r_cpu = target) r.responders with
-      | Some resp ->
-          (* a watchdog re-IPI: keep the first posting time — delivery
-             latency is measured from the original raise *)
-          if Float.is_nan resp.r_posted then resp.r_posted <- at
-      | None ->
-          r.responders <-
-            {
-              r_cpu = target;
-              r_posted = at;
-              r_enter = nan;
-              r_ack = nan;
-              r_drain = nan;
-              r_done = nan;
-            }
-            :: r.responders)
-
-let barrier_start t ~cpu ~at =
-  with_open t ~cpu (fun r ->
-      if Float.is_nan r.t_barrier then r.t_barrier <- at)
-
-let barrier_done t ~cpu ~at =
-  with_open t ~cpu (fun r ->
-      if Float.is_nan r.t_barrier_done then r.t_barrier_done <- at)
-
-let retry t ~cpu ~at =
-  t.retries_total <- t.retries_total + 1;
-  (match t.timeline with
-  | Some tl -> Timeline.count tl ~series:"retries" ~at 1
-  | None -> ());
-  with_open t ~cpu (fun r -> r.retries <- r.retries + 1)
-
-let update_done t ~cpu ~at =
-  with_open t ~cpu (fun r ->
-      if Float.is_nan r.t_update_done then r.t_update_done <- at)
-
-(* The lazy check proved no round necessary: nothing to attribute. *)
-let round_abort t ~cpu = t.in_flight.(cpu) <- None
-
-(* --- responder-side hooks (Core.Shootdown.responder) ---
-
-   A responder activation services every shootdown in progress, so each
-   event attaches to every open round that posted an IPI at this CPU and
-   has not yet seen the event — the same many-to-many structure the
-   protocol itself has. *)
-
-let responder_event t ~cpu ~at get set =
-  Array.iter
-    (function
-      | Some r ->
-          List.iter
-            (fun resp ->
-              if resp.r_cpu = cpu && Float.is_nan (get resp) then set resp at)
-            r.responders
-      | None -> ())
-    t.in_flight
-
-let responder_enter t ~cpu ~at ~posted =
-  (* The delivered interrupt's own raise time (captured by Sim.Cpu at
-     dispatch) beats the initiator-side posting time when both exist:
-     coalesced re-posts keep the earliest raise. *)
-  Array.iter
-    (function
-      | Some r ->
-          List.iter
-            (fun resp ->
-              if resp.r_cpu = cpu && Float.is_nan resp.r_enter then begin
-                resp.r_enter <- at;
-                if Float.is_finite posted && posted < resp.r_posted then
-                  resp.r_posted <- posted
-              end)
-            r.responders
-      | None -> ())
-    t.in_flight
-
-let responder_ack t ~cpu ~at =
-  responder_event t ~cpu ~at (fun r -> r.r_ack) (fun r v -> r.r_ack <- v)
-
-let responder_drain t ~cpu ~at =
-  responder_event t ~cpu ~at (fun r -> r.r_drain) (fun r v -> r.r_drain <- v)
-
-let responder_done t ~cpu ~at =
-  responder_event t ~cpu ~at (fun r -> r.r_done) (fun r v -> r.r_done <- v)
-
 (* --- completion --- *)
 
 (* Insert into the bounded reservoir, slowest first.  Ties keep the
@@ -415,13 +279,137 @@ let finalize t r =
       Timeline.observe tl ~series:"round_latency_us" ~at:r.t_end (duration r);
       if r.kind = Elided then Timeline.count tl ~series:"elisions" ~at:r.t_end 1
 
-let round_end t ~cpu ~at =
-  match t.in_flight.(cpu) with
+(* --- the probe fold (Core.Shootdown emits Instrument.Probe events) ---
+
+   Initiator probes fill the open record's timestamp chain.  The chain
+   setters are first-write-wins: [Barrier_done] closes the barrier of
+   every round that reaches its update and, for a round that never had
+   to wait (no remote users), also opens it — a zero-width catch-up that
+   must not clobber a [Barrier_start] that really ran.
+
+   A responder activation services every shootdown in progress, so each
+   responder probe attaches to every open round that posted an IPI at
+   this CPU and has not yet seen the event — the same many-to-many
+   structure the protocol itself has. *)
+
+let with_open t ~cpu f =
+  match t.in_flight.(cpu) with None -> () | Some r -> f r
+
+(* Apply [f] to this CPU's responder view in every open round. *)
+let each_responder t ~cpu f =
+  Array.iter
+    (function
+      | Some r ->
+          List.iter (fun resp -> if resp.r_cpu = cpu then f resp) r.responders
+      | None -> ())
+    t.in_flight
+
+let count t series ~at =
+  match t.timeline with
+  | Some tl -> Timeline.count tl ~series ~at 1
   | None -> ()
-  | Some r ->
-      r.t_end <- at;
-      t.in_flight.(cpu) <- None;
-      finalize t r
+
+let ipi_posted t ~cpu ~target ~at =
+  t.ipis <- t.ipis + 1;
+  count t "ipis" ~at;
+  with_open t ~cpu (fun r ->
+      match List.find_opt (fun resp -> resp.r_cpu = target) r.responders with
+      | Some resp ->
+          (* a watchdog re-IPI: keep the first posting time — delivery
+             latency is measured from the original raise *)
+          if Float.is_nan resp.r_posted then resp.r_posted <- at
+      | None ->
+          r.responders <-
+            {
+              r_cpu = target;
+              r_posted = at;
+              r_enter = nan;
+              r_ack = nan;
+              r_drain = nan;
+              r_done = nan;
+            }
+            :: r.responders)
+
+let observe t (p : Probe.t) =
+  match p with
+  | Round_start { cpu; at; kind; pmap; pages } ->
+      t.in_flight.(cpu) <-
+        Some
+          {
+            seq = t.next_seq;
+            cpu;
+            kind;
+            pmap;
+            pages;
+            t_start = at;
+            t_lock = nan;
+            t_shoot = nan;
+            t_barrier = nan;
+            t_barrier_done = nan;
+            t_update_done = nan;
+            t_end = nan;
+            retries = 0;
+            responders = [];
+          };
+      t.next_seq <- t.next_seq + 1
+  | Round_lock { cpu; at } ->
+      with_open t ~cpu (fun r -> if Float.is_nan r.t_lock then r.t_lock <- at)
+  | Round_shoot { cpu; at } ->
+      with_open t ~cpu (fun r -> if Float.is_nan r.t_shoot then r.t_shoot <- at)
+  | Round_no_shoot { cpu; at } ->
+      (* elided: Post and Ack_wait collapse to zero width at the
+         decision point, and the record is retagged *)
+      with_open t ~cpu (fun r ->
+          r.t_shoot <- at;
+          r.t_barrier <- at;
+          r.t_barrier_done <- at;
+          t.in_flight.(cpu) <- Some { r with kind = Elided })
+  | Round_abort { cpu; _ } -> t.in_flight.(cpu) <- None
+  | Ipi_posted { cpu; at; target } -> ipi_posted t ~cpu ~target ~at
+  | Watchdog_retry { cpu; at; target } ->
+      t.retries_total <- t.retries_total + 1;
+      count t "retries" ~at;
+      with_open t ~cpu (fun r -> r.retries <- r.retries + 1);
+      (* a real IPI on the wire; r_posted keeps the original raise *)
+      ipi_posted t ~cpu ~target ~at
+  | Barrier_start { cpu; at } ->
+      with_open t ~cpu (fun r ->
+          if Float.is_nan r.t_barrier then r.t_barrier <- at)
+  | Barrier_done { cpu; at; _ } ->
+      with_open t ~cpu (fun r ->
+          if Float.is_nan r.t_barrier then r.t_barrier <- at;
+          if Float.is_nan r.t_barrier_done then r.t_barrier_done <- at)
+  | Update_done { cpu; at } ->
+      with_open t ~cpu (fun r ->
+          if Float.is_nan r.t_update_done then r.t_update_done <- at)
+  | Round_end { cpu; at } ->
+      with_open t ~cpu (fun r ->
+          r.t_end <- at;
+          t.in_flight.(cpu) <- None;
+          finalize t r)
+  | Responder_enter { cpu; at; posted } ->
+      (* The delivered interrupt's own raise time (captured by Sim.Cpu at
+         dispatch) beats the initiator-side posting time when both
+         exist: coalesced re-posts keep the earliest raise. *)
+      each_responder t ~cpu (fun resp ->
+          if Float.is_nan resp.r_enter then begin
+            resp.r_enter <- at;
+            if Float.is_finite posted && posted < resp.r_posted then
+              resp.r_posted <- posted
+          end)
+  | Responder_ack { cpu; at } ->
+      each_responder t ~cpu (fun r ->
+          if Float.is_nan r.r_ack then r.r_ack <- at)
+  | Responder_drain { cpu; at } ->
+      each_responder t ~cpu (fun r ->
+          if Float.is_nan r.r_drain then r.r_drain <- at)
+  | Responder_done { cpu; at } ->
+      each_responder t ~cpu (fun r ->
+          if Float.is_nan r.r_done then r.r_done <- at)
+  | Initiator_start _ | Queue_action _ | Watchdog_escalate _ | Round_unlock _
+  | Stall_start _ | Stall_end _ | Drain_start _ | Drain_end _
+  | Responder_exit _ | Idle_drain _ | Tlb _ ->
+      ()
 
 (* --- results --- *)
 

@@ -25,7 +25,7 @@ val phases : phase list
 val phase_name : phase -> string
 
 (** What kind of consistency round a record describes. *)
-type kind =
+type kind = Probe.kind =
   | Round  (** an ordinary shootdown round *)
   | Gather_flush  (** a gather batch retiring its deferred ranges *)
   | Elided  (** replaced by a generation bump (no IPIs) *)
@@ -108,48 +108,17 @@ val set_timeline : t -> Timeline.t option -> unit
 
 val timeline : t -> Timeline.t option
 
-(** {2 Initiator-side hooks} (driven by [Core.Shootdown])
-
-    Chain setters are first-write-wins: the driver fills any boundary a
-    round legitimately skipped (no remote users → no barrier) with a
-    zero-width catch-up write, without clobbering one that ran. *)
-
-val round_start :
-  t -> cpu:int -> at:float -> kind:kind -> pmap:string -> pages:int -> unit
-
-val round_lock : t -> cpu:int -> at:float -> unit
-val round_shoot : t -> cpu:int -> at:float -> unit
-
-val round_no_shoot : t -> cpu:int -> at:float -> kind:kind -> unit
-(** The round proceeds without a shootdown (elision): collapses [Post]
-    and [Ack_wait] to zero width and retags the record. *)
-
-val ipi_posted : t -> cpu:int -> target:int -> at:float -> unit
-(** A re-post for the same round (watchdog retry) keeps the original
-    posting time. *)
-
-val barrier_start : t -> cpu:int -> at:float -> unit
-val barrier_done : t -> cpu:int -> at:float -> unit
-val retry : t -> cpu:int -> at:float -> unit
-val update_done : t -> cpu:int -> at:float -> unit
-
-val round_abort : t -> cpu:int -> unit
-(** The lazy check proved no round necessary; drop the open record. *)
-
-val round_end : t -> cpu:int -> at:float -> unit
-(** Completes and finalizes the open record: blame totals, top-K
-    insertion, attribution check, timeline forwarding. *)
-
-(** {2 Responder-side hooks} — each event attaches to every open round
-    that posted an IPI at this CPU and has not yet seen the event. *)
-
-val responder_enter : t -> cpu:int -> at:float -> posted:float -> unit
-(** [posted] is the delivered interrupt's own raise time as captured at
-    dispatch; when finite and earlier it refines [r_posted]. *)
-
-val responder_ack : t -> cpu:int -> at:float -> unit
-val responder_drain : t -> cpu:int -> at:float -> unit
-val responder_done : t -> cpu:int -> at:float -> unit
+val observe : t -> Probe.t -> unit
+(** Fold one protocol probe into the recorder ([Vm.Machine.attach_flight]
+    subscribes this to a machine's probe stream).  The initiator's probes
+    fill the open record's timestamp chain, first write wins: a
+    [Barrier_done] with no preceding [Barrier_start] (no remote users)
+    collapses [Post]/[Ack_wait] to zero width without clobbering a
+    barrier that really ran.  [Round_end] finalizes the record (blame
+    totals, top-K insertion, attribution check, timeline forwarding);
+    [Round_abort] drops it.  Each responder probe attaches to every open
+    round that posted an IPI at that CPU and has not yet seen the event;
+    a [Watchdog_retry] re-post keeps the original posting time. *)
 
 (** {2 Results} *)
 

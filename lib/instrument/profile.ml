@@ -1,9 +1,11 @@
 (* Per-CPU simulated-time attribution for the contention profiler.
 
    Every clock advance a CPU makes is classified into one of the buckets
-   below.  Producers (Sim.Cpu, Sim.Bus, Sim.Spinlock, Core.Shootdown)
-   hold an optional [t] and account only when one is attached, so the
-   no-profiler cost is a single branch — the same contract as tracing.
+   below.  Producers (Sim.Cpu, Sim.Bus, Sim.Spinlock) hold an optional
+   [t] and account only when one is attached, and the shootdown
+   protocol's brackets come from its probe stream ([probe_observer]), so
+   the no-profiler cost is a single branch — the same contract as
+   tracing.
 
    Classification is a per-CPU category stack: [enter]/[leave] bracket a
    region (lock spin, ack-barrier wait, interrupt dispatch, queue drain)
@@ -144,6 +146,51 @@ let observe t ~name v =
         h
   in
   Histogram.observe h v
+
+(* The shootdown protocol's brackets and phase samples, folded from its
+   probe stream: the initiator's barrier and every responder/idle stall
+   are Ack_wait, executing queued actions is Queue_drain, and the
+   shoot/* histograms sample the initiator (lock to barrier done, for
+   rounds that targeted an active processor), the barrier, the update
+   and each responder activation that did work.  The pairing timestamps
+   live here, per CPU; [nan] marks a phase not in progress. *)
+let probe_observer t =
+  let since () = Array.make t.ncpus nan in
+  let locked = since () and barrier = since () and update = since () in
+  let entered = since () and worked = Array.make t.ncpus false in
+  let sample name ~at start =
+    if not (Float.is_nan start) then observe t ~name (at -. start)
+  in
+  fun (p : Probe.t) ->
+    match p with
+    | Round_lock { cpu; at } -> locked.(cpu) <- at
+    | Barrier_start { cpu; at } ->
+        enter t ~cpu ~at Ack_wait;
+        barrier.(cpu) <- at
+    | Barrier_done { cpu; at; shot } ->
+        if not (Float.is_nan barrier.(cpu)) then leave t ~cpu ~at;
+        sample "shoot/barrier_us" ~at barrier.(cpu);
+        barrier.(cpu) <- nan;
+        if shot > 0 then sample "shoot/initiator_us" ~at locked.(cpu);
+        update.(cpu) <- at
+    | Round_no_shoot { cpu; at } -> update.(cpu) <- at
+    | Update_done { cpu; at } ->
+        sample "shoot/update_us" ~at update.(cpu);
+        update.(cpu) <- nan
+    | Stall_start { cpu; at } -> enter t ~cpu ~at Ack_wait
+    | Drain_start { cpu; at } -> enter t ~cpu ~at Queue_drain
+    | Stall_end { cpu; at } | Drain_end { cpu; at } -> leave t ~cpu ~at
+    | Responder_enter { cpu; at; _ } ->
+        entered.(cpu) <- at;
+        worked.(cpu) <- false
+    | Responder_done { cpu; _ } -> worked.(cpu) <- true
+    | Responder_exit { cpu; at } ->
+        if worked.(cpu) then sample "shoot/responder_us" ~at entered.(cpu)
+    | Round_start _ | Round_shoot _ | Round_abort _ | Initiator_start _
+    | Queue_action _ | Ipi_posted _ | Watchdog_retry _ | Watchdog_escalate _
+    | Round_unlock _ | Round_end _ | Responder_ack _ | Responder_drain _
+    | Idle_drain _ | Tlb _ ->
+        ()
 
 let get t ~cpu cat =
   if in_range t cpu then t.buckets.(category_index cat).(cpu) else 0.0

@@ -1,8 +1,8 @@
 (** Per-CPU simulated-time attribution for the contention profiler.
 
-    Hooks in [Sim.Cpu], [Sim.Bus], [Sim.Spinlock] and [Core.Shootdown]
-    classify every clock advance into a {!category}; whatever no hook
-    sees (blocked or idle coroutines) is the [idle] remainder.  Named
+    Hooks in [Sim.Cpu], [Sim.Bus] and [Sim.Spinlock], and the
+    shootdown protocol's probe stream ({!probe_observer}), classify every
+    clock advance into a {!category}; whatever no hook sees (blocked or idle coroutines) is the [idle] remainder.  Named
     {!Histogram}s for lock wait/hold, bus queue depth, IPI latency and
     shootdown phases ride along.  Both merge exactly across trials, so
     `--jobs N` sweeps stay deterministic (docs/PROFILING.md). *)
@@ -51,6 +51,15 @@ val account_as : t -> cpu:int -> category -> float -> unit
 
 val observe : t -> name:string -> float -> unit
 (** Record a sample into the named histogram, creating it on first use. *)
+
+val probe_observer : t -> Probe.t -> unit
+(** [probe_observer t] is a consumer of one machine's shootdown probe
+    stream ([Vm.Machine.attach_profile] subscribes it): it brackets the
+    initiator's barrier and every responder or idle-check stall as
+    [Ack_wait], queued-action execution as [Queue_drain], and samples
+    the [shoot/initiator_us], [shoot/barrier_us], [shoot/update_us] and
+    [shoot/responder_us] histograms.  Each application keeps its own
+    per-CPU pairing state, so build one per machine. *)
 
 val histogram : t -> name:string -> Histogram.t option
 

@@ -3,9 +3,9 @@
    Where Xpr reproduces the Mach xpr circular buffer (integer args, fixed
    record shape), Trace records named events with typed attributes — the
    machine-readable stream the paper's Figure 1 anatomy views, the
-   `tlbshoot trace` subcommand and offline analysis consume.  Producers
-   (Sim.Engine, Core.Shoot_trace) hold an optional [t] and emit only when
-   one is attached, so the zero-tracer cost is a single branch.
+   `tlbshoot trace` subcommand and offline analysis consume.  Sim.Engine
+   holds an optional [t], and Core.Shoot_trace folds the shootdown probe
+   stream into one, so the zero-tracer cost is a single branch.
 
    Events are instants unless [dur] is given, making them spans. *)
 

@@ -1,8 +1,8 @@
 (** Structured span-event tracing for the shootdown hot path.
 
-    Named events with typed attributes, emitted by hooks in [Sim.Engine]
-    and [Core.Shoot_trace] when a tracer is attached (the zero-tracer
-    cost is one branch).  The span stream is what the [tlbshoot trace]
+    Named events with typed attributes, emitted by [Sim.Engine] and by
+    [Core.Shoot_trace] (a consumer of the shootdown probe stream) when a
+    tracer is attached (the zero-tracer cost is one branch).  The span stream is what the [tlbshoot trace]
     subcommand dumps; see docs/OBSERVABILITY.md for the schema. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string

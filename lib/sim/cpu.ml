@@ -36,7 +36,7 @@ type t = {
   mutable last_shoot_posted_at : float;
       (* raise time of the shootdown IPI currently being dispatched
          (earliest post when coalesced); nan outside a dispatch.  Read by
-         the flight recorder's responder_enter hook to split delivery
+         the shootdown responder's Responder_enter probe to split delivery
          latency from handler time (docs/TAIL.md). *)
 }
 
@@ -45,7 +45,7 @@ let now t = Engine.now t.eng
 let params t = t.params
 
 (* Contention-profiler brackets and samples, for this module and the
-   layers above (Spinlock, the shootdown algorithm).  Each is one branch
+   layers above (Spinlock, the pmap activate-spin).  Each is one branch
    of cost while no profiler is attached — the same contract as
    tracing. *)
 let prof_enter t cat =

@@ -100,8 +100,8 @@ val interruptible_sleep : t -> float -> unit
 (** {1 Contention-profiler hooks}
 
     Each is one branch of cost while no profiler is attached (the same
-    contract as tracing); the layers above use them to bracket lock
-    spins, barrier waits and queue drains — see docs/PROFILING.md. *)
+    contract as tracing); [Sim.Spinlock] and [Core.Pmap] use them to
+    bracket lock spins — see docs/PROFILING.md. *)
 
 val prof_enter : t -> Instrument.Profile.category -> unit
 (** Push an attribution region on this CPU's profiler stack. *)

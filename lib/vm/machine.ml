@@ -217,14 +217,22 @@ let attach_profile t profile =
     (fun (cpu : Sim.Cpu.t) -> cpu.Sim.Cpu.profile <- Some profile)
     t.cpus;
   Sim.Bus.set_profile t.bus (Some profile);
+  Pmap.observe t.ctx (Instrument.Profile.probe_observer profile);
   if Sim.Params.clustered t.params then
     Instrument.Profile.set_clusters profile
       (Array.init t.params.ncpus (Sim.Params.cluster_of t.params))
 
-(* Attach a per-round flight recorder (docs/TAIL.md): Core.Shootdown
-   starts emitting one causal record per consistency round.  Same
+(* Attach a per-round flight recorder (docs/TAIL.md) to the protocol's
+   probe stream: one causal record per consistency round.  Same
    behaviour-neutrality contract as [attach_profile]. *)
-let attach_flight t flight = t.ctx.Pmap.flight <- Some flight
+let attach_flight t flight =
+  Pmap.observe t.ctx (Instrument.Flight.observe flight)
+
+(* Attach a span tracer: the shootdown protocol's phase spans (a probe
+   consumer) and the engine's coroutine spans. *)
+let attach_trace t tr =
+  Pmap.observe t.ctx (Core.Shoot_trace.observer tr ~ncpus:t.params.ncpus);
+  Sim.Engine.set_tracer t.eng (Some tr)
 
 (* Total busy CPU time, for overhead percentages. *)
 let total_busy_time t =

@@ -38,16 +38,24 @@ val with_kernel_batch :
     batch — one coalesced shootdown round — on the way out. *)
 
 val attach_profile : t -> Instrument.Profile.t -> unit
-(** Attach a contention profiler to every CPU and the bus.  The profiler
+(** Attach a contention profiler to every CPU and the bus, and its
+    shootdown brackets to the protocol's probe stream.  The profiler
     must have been created with [~ncpus] equal to this machine's CPU
     count.  Attachment is behaviour-neutral: the hooks add no simulated
     cost and draw nothing from any PRNG, so results stay byte-identical
     to an unprofiled run. *)
 
 val attach_flight : t -> Instrument.Flight.t -> unit
-(** Attach a per-round flight recorder: [Core.Shootdown] emits one causal
-    record per consistency round (docs/TAIL.md).  Behaviour-neutral under
-    the same contract as {!attach_profile}. *)
+(** Attach a per-round flight recorder to the protocol's probe stream:
+    one causal record per consistency round (docs/TAIL.md).
+    Behaviour-neutral under the same contract as {!attach_profile}. *)
+
+val attach_trace : t -> Instrument.Trace.t -> unit
+(** Attach a span tracer: the shootdown protocol's phase spans
+    ([Core.Shoot_trace]) and the engine's coroutine spans.
+    Behaviour-neutral under the same contract as {!attach_profile}.
+    Consumers see each probe in attach order: to share the trace with a
+    profiler's [prof.*] slices, attach the profiler first. *)
 
 val total_busy_time : t -> float
 (** Sum of per-CPU busy time, for overhead percentages. *)

@@ -47,11 +47,7 @@ type report = {
 
 let run ?(params = Sim.Params.production) ?trace ?attach ~name body =
   let machine = Vm.Machine.create ~params () in
-  (match trace with
-  | Some tr ->
-      machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
-      Sim.Engine.set_tracer machine.Vm.Machine.eng (Some tr)
-  | None -> ());
+  Option.iter (Vm.Machine.attach_trace machine) trace;
   (match attach with Some f -> f machine | None -> ());
   Vm.Machine.run machine (fun self -> body machine self);
   let xpr = machine.Vm.Machine.xpr in

@@ -14,27 +14,35 @@ module Timeline = Instrument.Timeline
 module Perfetto = Instrument.Perfetto
 module Trace = Instrument.Trace
 module Tail = Experiments.Tail
+module Probe = Instrument.Probe
 
-(* Drive one synthetic round through the initiator hooks.  Timestamps
+let feed f = List.iter (Flight.observe f)
+
+let start ~cpu ~at : Probe.t =
+  Round_start { cpu; at; kind = Round; pmap = "u"; pages = 1 }
+
+(* Drive one synthetic round through the initiator's probes.  Timestamps
    are deliberately awkward floats so the exact-sum checks exercise real
    rounding, not round numbers. *)
 let synthetic_round ?(cpu = 0) ?(dur = 100.0) f =
   let t0 = 1234.567 +. (dur /. 1000.0) in
-  Flight.round_start f ~cpu ~at:t0 ~kind:Flight.Round ~pmap:"user0" ~pages:3;
-  Flight.round_lock f ~cpu ~at:(t0 +. (0.07 *. dur));
-  Flight.round_shoot f ~cpu ~at:(t0 +. (0.21 *. dur));
-  Flight.ipi_posted f ~cpu ~target:1 ~at:(t0 +. (0.22 *. dur));
-  Flight.ipi_posted f ~cpu ~target:2 ~at:(t0 +. (0.23 *. dur));
-  Flight.barrier_start f ~cpu ~at:(t0 +. (0.3 *. dur));
-  Flight.responder_enter f ~cpu:1 ~at:(t0 +. (0.4 *. dur))
-    ~posted:(t0 +. (0.22 *. dur));
-  Flight.responder_ack f ~cpu:1 ~at:(t0 +. (0.45 *. dur));
-  Flight.responder_enter f ~cpu:2 ~at:(t0 +. (0.5 *. dur))
-    ~posted:(t0 +. (0.23 *. dur));
-  Flight.responder_ack f ~cpu:2 ~at:(t0 +. (0.8 *. dur));
-  Flight.barrier_done f ~cpu ~at:(t0 +. (0.81 *. dur));
-  Flight.update_done f ~cpu ~at:(t0 +. (0.93 *. dur));
-  Flight.round_end f ~cpu ~at:(t0 +. dur)
+  let at frac = t0 +. (frac *. dur) in
+  feed f
+    [
+      Round_start { cpu; at = t0; kind = Round; pmap = "user0"; pages = 3 };
+      Round_lock { cpu; at = at 0.07 };
+      Round_shoot { cpu; at = at 0.21 };
+      Ipi_posted { cpu; at = at 0.22; target = 1 };
+      Ipi_posted { cpu; at = at 0.23; target = 2 };
+      Barrier_start { cpu; at = at 0.3 };
+      Responder_enter { cpu = 1; at = at 0.4; posted = at 0.22 };
+      Responder_ack { cpu = 1; at = at 0.45 };
+      Responder_enter { cpu = 2; at = at 0.5; posted = at 0.23 };
+      Responder_ack { cpu = 2; at = at 0.8 };
+      Barrier_done { cpu; at = at 0.81; shot = 2 };
+      Update_done { cpu; at = at 0.93 };
+      Round_end { cpu; at = t0 +. dur };
+    ]
 
 let test_blame_sums_exactly () =
   let f = Flight.create ~ncpus:4 () in
@@ -78,32 +86,36 @@ let test_tampered_record_detected () =
 
 let test_no_barrier_round_collapses () =
   let f = Flight.create ~ncpus:4 () in
-  let t0 = 10.0 in
-  Flight.round_start f ~cpu:0 ~at:t0 ~kind:Flight.Round ~pmap:"k" ~pages:1;
-  Flight.round_lock f ~cpu:0 ~at:11.0;
-  Flight.round_shoot f ~cpu:0 ~at:12.0;
-  (* the driver's catch-up writes when no remote user forced a barrier *)
-  Flight.barrier_start f ~cpu:0 ~at:12.5;
-  Flight.barrier_done f ~cpu:0 ~at:12.5;
-  Flight.update_done f ~cpu:0 ~at:13.0;
-  Flight.round_end f ~cpu:0 ~at:13.25;
+  feed f
+    [
+      Round_start { cpu = 0; at = 10.0; kind = Round; pmap = "k"; pages = 1 };
+      Round_lock { cpu = 0; at = 11.0 };
+      Round_shoot { cpu = 0; at = 12.0 };
+      (* no remote user forced a barrier: Barrier_done alone *)
+      Barrier_done { cpu = 0; at = 12.5; shot = 0 };
+      Update_done { cpu = 0; at = 13.0 };
+      Round_end { cpu = 0; at = 13.25 };
+    ];
   let r = List.hd (Flight.top f) in
   Alcotest.(check bool) "attributed" true (Flight.attributed_exactly r);
   Alcotest.(check (float 0.0)) "ack zero" 0.0 (List.assoc Flight.Ack_wait (Flight.blame r))
 
 let test_first_write_wins () =
   let f = Flight.create ~ncpus:4 () in
-  Flight.round_start f ~cpu:0 ~at:0.0 ~kind:Flight.Round ~pmap:"u" ~pages:1;
-  Flight.round_lock f ~cpu:0 ~at:1.0;
-  Flight.round_shoot f ~cpu:0 ~at:2.0;
-  Flight.barrier_start f ~cpu:0 ~at:3.0;
-  Flight.barrier_done f ~cpu:0 ~at:4.0;
-  (* the unconditional catch-up in Core.Shootdown.shoot must not clobber
-     the boundaries the real barrier wrote *)
-  Flight.barrier_start f ~cpu:0 ~at:9.0;
-  Flight.barrier_done f ~cpu:0 ~at:9.0;
-  Flight.update_done f ~cpu:0 ~at:9.5;
-  Flight.round_end f ~cpu:0 ~at:10.0;
+  feed f
+    [
+      start ~cpu:0 ~at:0.0;
+      Round_lock { cpu = 0; at = 1.0 };
+      Round_shoot { cpu = 0; at = 2.0 };
+      Barrier_start { cpu = 0; at = 3.0 };
+      Barrier_done { cpu = 0; at = 4.0; shot = 1 };
+      (* later writes must not clobber the boundaries the real barrier
+         wrote *)
+      Barrier_start { cpu = 0; at = 9.0 };
+      Barrier_done { cpu = 0; at = 9.0; shot = 1 };
+      Update_done { cpu = 0; at = 9.5 };
+      Round_end { cpu = 0; at = 10.0 };
+    ];
   let r = List.hd (Flight.top f) in
   Alcotest.(check (float 0.0)) "t_barrier" 3.0 r.Flight.t_barrier;
   Alcotest.(check (float 0.0)) "t_barrier_done" 4.0 r.Flight.t_barrier_done
@@ -111,15 +123,17 @@ let test_first_write_wins () =
 let test_abort_and_elide () =
   let f = Flight.create ~ncpus:4 () in
   (* lazy-skip: the open record is dropped without trace *)
-  Flight.round_start f ~cpu:0 ~at:0.0 ~kind:Flight.Round ~pmap:"u" ~pages:1;
-  Flight.round_abort f ~cpu:0;
+  feed f [ start ~cpu:0 ~at:0.0; Round_abort { cpu = 0; at = 0.0 } ];
   Alcotest.(check int) "no rounds after abort" 0 (Flight.rounds f);
   (* elision: Post and Ack_wait collapse, the record is retagged *)
-  Flight.round_start f ~cpu:0 ~at:0.0 ~kind:Flight.Round ~pmap:"u" ~pages:1;
-  Flight.round_lock f ~cpu:0 ~at:1.0;
-  Flight.round_no_shoot f ~cpu:0 ~at:2.0 ~kind:Flight.Elided;
-  Flight.update_done f ~cpu:0 ~at:3.0;
-  Flight.round_end f ~cpu:0 ~at:4.0;
+  feed f
+    [
+      start ~cpu:0 ~at:0.0;
+      Round_lock { cpu = 0; at = 1.0 };
+      Round_no_shoot { cpu = 0; at = 2.0 };
+      Update_done { cpu = 0; at = 3.0 };
+      Round_end { cpu = 0; at = 4.0 };
+    ];
   Alcotest.(check int) "elided" 1 (Flight.elided_rounds f);
   let r = List.hd (Flight.top f) in
   Alcotest.(check bool) "kind" true (r.Flight.kind = Flight.Elided);
@@ -149,13 +163,16 @@ let test_critical_straggler () =
   Alcotest.(check string) "detail" "handler" c.Flight.c_detail;
   (* non-barrier dominance carries no straggler *)
   let f2 = Flight.create ~ncpus:4 () in
-  Flight.round_start f2 ~cpu:0 ~at:0.0 ~kind:Flight.Round ~pmap:"u" ~pages:1;
-  Flight.round_lock f2 ~cpu:0 ~at:90.0 (* lock wait dominates *);
-  Flight.round_shoot f2 ~cpu:0 ~at:91.0;
-  Flight.barrier_start f2 ~cpu:0 ~at:92.0;
-  Flight.barrier_done f2 ~cpu:0 ~at:93.0;
-  Flight.update_done f2 ~cpu:0 ~at:94.0;
-  Flight.round_end f2 ~cpu:0 ~at:95.0;
+  feed f2
+    [
+      start ~cpu:0 ~at:0.0;
+      Round_lock { cpu = 0; at = 90.0 } (* lock wait dominates *);
+      Round_shoot { cpu = 0; at = 91.0 };
+      Barrier_start { cpu = 0; at = 92.0 };
+      Barrier_done { cpu = 0; at = 93.0; shot = 1 };
+      Update_done { cpu = 0; at = 94.0 };
+      Round_end { cpu = 0; at = 95.0 };
+    ];
   let c2 = Flight.critical (List.hd (Flight.top f2)) in
   Alcotest.(check bool) "lock_wait" true (c2.Flight.c_phase = Flight.Lock_wait);
   Alcotest.(check int) "no straggler" (-1) c2.Flight.c_cpu

@@ -182,8 +182,7 @@ let test_trace_json () =
 let test_trace_integration () =
   let tr = Trace.create () in
   let machine = Vm.Machine.create ~params:Sim.Params.default () in
-  machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
-  Sim.Engine.set_tracer machine.Vm.Machine.eng (Some tr);
+  Vm.Machine.attach_trace machine tr;
   let r = Workloads.Tlb_tester.run machine ~children:2 () in
   Alcotest.(check bool) "consistent" true r.Workloads.Tlb_tester.consistent;
   let names = List.map (fun s -> s.Trace.name) (Trace.spans tr) in
@@ -203,6 +202,118 @@ let test_trace_integration () =
       "responder.drain";
       "tlb.invalidate";
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The probe stream *)
+
+module Probe = Instrument.Probe
+
+(* Every probe constructor, numbered.  The match is exhaustive, so a new
+   constructor fails to compile here until [emit] below covers it. *)
+let probe_index : Probe.t -> int = function
+  | Round_start _ -> 0
+  | Round_lock _ -> 1
+  | Round_shoot _ -> 2
+  | Round_no_shoot _ -> 3
+  | Round_abort _ -> 4
+  | Initiator_start _ -> 5
+  | Queue_action _ -> 6
+  | Ipi_posted _ -> 7
+  | Barrier_start _ -> 8
+  | Watchdog_retry _ -> 9
+  | Watchdog_escalate _ -> 10
+  | Barrier_done _ -> 11
+  | Update_done _ -> 12
+  | Round_unlock _ -> 13
+  | Round_end _ -> 14
+  | Responder_enter _ -> 15
+  | Responder_ack _ -> 16
+  | Stall_start _ -> 17
+  | Stall_end _ -> 18
+  | Responder_drain _ -> 19
+  | Drain_start _ -> 20
+  | Drain_end _ -> 21
+  | Responder_done _ -> 22
+  | Responder_exit _ -> 23
+  | Idle_drain _ -> 24
+  | Tlb _ -> 25
+
+let probe_count = 26
+
+(* Emit probe [n] the way Core.Shootdown does: built only when a
+   consumer is attached, with the clock read inside the guard. *)
+let emit ctx (cpu : Sim.Cpu.t) n =
+  let module P = Core.Pmap in
+  let id = Sim.Cpu.id cpu in
+  if P.probing ctx then
+    let at = Sim.Cpu.now cpu in
+    P.probe ctx
+      (match n with
+      | 0 -> Round_start { cpu = id; at; kind = Round; pmap = "p"; pages = 1 }
+      | 1 -> Round_lock { cpu = id; at }
+      | 2 -> Round_shoot { cpu = id; at }
+      | 3 -> Round_no_shoot { cpu = id; at }
+      | 4 -> Round_abort { cpu = id; at }
+      | 5 -> Initiator_start { cpu = id; at }
+      | 6 ->
+          Queue_action
+            { cpu = id; at; target = 1; depth = n; overflow = false }
+      | 7 -> Ipi_posted { cpu = id; at; target = 1 }
+      | 8 -> Barrier_start { cpu = id; at }
+      | 9 -> Watchdog_retry { cpu = id; at; target = 1 }
+      | 10 ->
+          Watchdog_escalate
+            {
+              cpu = id;
+              at;
+              target = 1;
+              pmap = "p";
+              retries = n;
+              phase = "-";
+              note = cpu.Sim.Cpu.note;
+            }
+      | 11 -> Barrier_done { cpu = id; at; shot = n }
+      | 12 -> Update_done { cpu = id; at }
+      | 13 -> Round_unlock { cpu = id; at }
+      | 14 -> Round_end { cpu = id; at }
+      | 15 ->
+          Responder_enter
+            { cpu = id; at; posted = cpu.Sim.Cpu.last_shoot_posted_at }
+      | 16 -> Responder_ack { cpu = id; at }
+      | 17 -> Stall_start { cpu = id; at }
+      | 18 -> Stall_end { cpu = id; at }
+      | 19 -> Responder_drain { cpu = id; at }
+      | 20 -> Drain_start { cpu = id; at }
+      | 21 -> Drain_end { cpu = id; at }
+      | 22 -> Responder_done { cpu = id; at }
+      | 23 -> Responder_exit { cpu = id; at }
+      | 24 -> Idle_drain { cpu = id; at }
+      | _ -> Tlb { cpu = id; at; space = n; pages = n; flush = true })
+
+(* The minor_words_per_event contract: with no consumer attached, an
+   emission site is one branch and allocates nothing. *)
+let test_detached_probes_allocate_nothing () =
+  let machine = Vm.Machine.create ~params:Sim.Params.default () in
+  let ctx = machine.Vm.Machine.ctx and cpu = machine.Vm.Machine.cpus.(0) in
+  let emit_all () =
+    for n = 0 to probe_count - 1 do
+      emit ctx cpu n
+    done
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let baseline = words ignore in
+  Alcotest.(check (float 0.0)) "detached: no allocation" baseline
+    (words emit_all);
+  (* attached, the same calls deliver every constructor exactly once *)
+  let seen = ref [] in
+  Core.Pmap.observe ctx (fun p -> seen := probe_index p :: !seen);
+  emit_all ();
+  Alcotest.(check (list int))
+    "every constructor" (List.init probe_count Fun.id) (List.rev !seen)
 
 (* ------------------------------------------------------------------ *)
 (* The regression gate *)
@@ -327,6 +438,8 @@ let () =
           Alcotest.test_case "json" `Quick test_trace_json;
           Alcotest.test_case "shootdown integration" `Quick
             test_trace_integration;
+          Alcotest.test_case "detached probes allocate nothing" `Quick
+            test_detached_probes_allocate_nothing;
         ] );
       ( "gate",
         [

@@ -298,12 +298,12 @@ let test_trace_ring_cap () =
 let test_perfetto_schema () =
   let tr = Trace.create () in
   let machine = Vm.Machine.create ~params:Sim.Params.default () in
-  machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
   let profile =
     Profile.create ~ncpus:Sim.Params.default.Sim.Params.ncpus ()
   in
   Profile.set_tracer profile (Some tr);
   Vm.Machine.attach_profile machine profile;
+  Vm.Machine.attach_trace machine tr;
   ignore (Workloads.Tlb_tester.run machine ~children:2 ());
   let doc =
     match Json.of_string (Perfetto.to_string tr) with

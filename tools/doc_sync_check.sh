@@ -1,6 +1,6 @@
 #!/bin/sh
 # Docs-sync check (CI fast tier): fail when the documentation index
-# drifts from the code.  Three invariants:
+# drifts from the code.  Five invariants:
 #
 #   1. every file under docs/ is linked from the README's Map table;
 #   2. every tlbshoot subcommand defined in bin/tlbshoot_cli.ml is
@@ -9,7 +9,10 @@
 #      lib/ (tlbshoot-*-v1) is named in EXPERIMENTS.md;
 #   4. the reverse of 3: every schema EXPERIMENTS.md names still exists
 #      in the code, so the docs cannot keep advertising a schema that
-#      was renamed or deleted.
+#      was renamed or deleted;
+#   5. every constructor of the shootdown probe stream
+#      (lib/instrument/probe.ml) has a row in the probe table of
+#      docs/OBSERVABILITY.md.
 #
 # POSIX sh + grep/sed only; run from the repository root:
 #
@@ -51,7 +54,13 @@ for schema in $(grep -ho 'tlbshoot-[a-z0-9-]*-v1' EXPERIMENTS.md docs/*.md | sor
     complain "JSON schema '${schema}' is documented but no longer emitted by bin/ or lib/"
 done
 
+# 5. Every probe constructor has a row in the probe table.
+for probe in $(sed -n 's/^  | \([A-Z][A-Za-z_]*\) of .*/\1/p' lib/instrument/probe.ml); do
+  grep -q "^| \`${probe}\` |" docs/OBSERVABILITY.md ||
+    complain "probe '${probe}' has no row in the docs/OBSERVABILITY.md probe table"
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "doc-sync: README map, subcommand index and schema index are in sync"
+  echo "doc-sync: README map, subcommand index, schema index and probe table are in sync"
 fi
 exit "$fail"
