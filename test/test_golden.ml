@@ -125,13 +125,54 @@ let test_fault_blackout () =
   ignore (Workloads.Tlb_tester.run machine ~children:2 ());
   check_golden "fault_blackout.json" (spans_and_flight tr fl)
 
+let tail () = Experiments.Tail.run ~jobs:1 ~max_procs:3 ~runs_per_point:1 ()
+let knee () = Experiments.Knee.run ~jobs:1 ~max_procs:3 ~runs_per_point:1 ()
+
 let test_tail () =
-  let t = Experiments.Tail.run ~jobs:1 ~max_procs:3 ~runs_per_point:1 () in
-  check_golden "tail.json" (json_text (Experiments.Tail.to_json t))
+  check_golden "tail.json" (json_text (Experiments.Tail.to_json (tail ())))
 
 let test_knee () =
-  let t = Experiments.Knee.run ~jobs:1 ~max_procs:3 ~runs_per_point:1 () in
-  check_golden "knee.json" (json_text (Experiments.Knee.to_json t))
+  check_golden "knee.json" (json_text (Experiments.Knee.to_json (knee ())))
+
+let test_tail_render () =
+  check_golden "tail.txt" (Experiments.Tail.render (tail ()))
+
+let test_knee_render () =
+  check_golden "knee.txt" (Experiments.Knee.render (knee ()))
+
+(* Reduced versions of the tester sweeps: each pins the sweep's seeds,
+   its per-point grouping and its report. *)
+let test_figure2 () =
+  let t =
+    Experiments.Figure2.run ~jobs:1 ~max_procs:3 ~runs_per_point:2
+      ~fit_limit:3 ()
+  in
+  check_golden "figure2.txt" (Experiments.Figure2.render t)
+
+(* 32 CPUs in clusters of 4 also runs the cluster-targeted ablation. *)
+let test_scale1024 () =
+  let t =
+    Experiments.Scale1024.run ~jobs:1 ~scales:[ 4; 16; 32 ] ~runs_per_point:1
+      ~cluster_size:4 ()
+  in
+  check_golden "scale1024.json" (json_text (Experiments.Scale1024.to_json t));
+  check_golden "scale1024.txt" (Experiments.Scale1024.render t)
+
+let test_resilience () =
+  let t = Experiments.Resilience.run ~jobs:1 ~trials:1 ~children:2 () in
+  check_golden "resilience.json"
+    (json_text (Experiments.Resilience.to_json t))
+
+let test_scaling () =
+  let t =
+    Experiments.Scaling.run ~jobs:1 ~runs:1 ~sizes:[ 16; 24 ]
+      ~fit:Experiments.Figure2.paper_fit ()
+  in
+  check_golden "scaling.txt" (Experiments.Scaling.render t)
+
+let test_ablations () =
+  let t = Experiments.Ablations.run ~jobs:1 ~runs:1 ~procs_points:[ 3 ] () in
+  check_golden "ablations.txt" (Experiments.Ablations.render t)
 
 let () =
   Alcotest.run "golden"
@@ -146,5 +187,16 @@ let () =
             test_fault_blackout;
           Alcotest.test_case "tail json" `Quick test_tail;
           Alcotest.test_case "knee json" `Quick test_knee;
+        ] );
+      ( "sweeps",
+        [
+          Alcotest.test_case "tail render" `Quick test_tail_render;
+          Alcotest.test_case "knee render" `Quick test_knee_render;
+          Alcotest.test_case "figure2 render" `Quick test_figure2;
+          Alcotest.test_case "scale1024 json and render" `Quick
+            test_scale1024;
+          Alcotest.test_case "resilience json" `Quick test_resilience;
+          Alcotest.test_case "scaling render" `Quick test_scaling;
+          Alcotest.test_case "ablations render" `Quick test_ablations;
         ] );
     ]
