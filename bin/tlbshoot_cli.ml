@@ -5,7 +5,7 @@
      tlbshoot tables [--scale 100] [--jobs N]  (Tables 2-4, one data set)
      tlbshoot overhead [--scale 100] [--jobs N]
      tlbshoot ablations [--runs 3] [--jobs N]
-     tlbshoot faults [--trials 3] [--children 6] [--jobs N] [--json]
+     tlbshoot faults [--trials 3] [--children 4] [--jobs N] [--json]
      tlbshoot batch [--scale 100] [--jobs N] [--json]
      tlbshoot tester --children 4 [--no-consistency | --policy ...]
      tlbshoot trace [--workload tester] [--children 4] [--scale 10]
@@ -15,7 +15,7 @@
                       [--json] [--perfetto out.json]
      tlbshoot scale1024 [--runs 3] [--full] [--cluster-size 16] [--jobs N]
                         [--json]
-     tlbshoot all [--scale 100] [--jobs N]
+     tlbshoot all [--scale 100] [--runs 10] [--jobs N]
 
    --jobs fans independent trials over that many OCaml domains through
    Sim.Domain_pool; the default is the machine's recommended domain
@@ -23,70 +23,23 @@
    docs/PARALLELISM.md). *)
 
 open Cmdliner
+module E = Experiments
 
-let print_figure2 ~jobs ~runs ~max_procs =
-  let r = Experiments.Figure2.run ~jobs ~runs_per_point:runs ~max_procs () in
-  print_string (Experiments.Figure2.render r)
+let write_file file text =
+  Out_channel.with_open_text file (fun oc -> output_string oc text)
 
-let print_table1 ~jobs ~scale =
-  let t = Experiments.Table1.run ~jobs ~scale () in
-  print_string (Experiments.Table1.render t)
+let tables apps =
+  String.concat "\n"
+    [
+      E.Table2.render (E.Table2.of_apps apps);
+      E.Table3.render (E.Table3.of_apps apps);
+      E.Table4.render (E.Table4.of_apps apps);
+    ]
 
-let print_tables ~jobs ~scale =
-  let apps = Experiments.Apps.run ~jobs ~scale () in
-  print_string (Experiments.Table2.render (Experiments.Table2.of_apps apps));
-  print_newline ();
-  print_string (Experiments.Table3.render (Experiments.Table3.of_apps apps));
-  print_newline ();
-  print_string (Experiments.Table4.render (Experiments.Table4.of_apps apps))
-
-let print_overhead ~jobs ~scale =
-  let apps = Experiments.Apps.run ~jobs ~scale () in
-  let fig = Experiments.Figure2.run ~jobs ~runs_per_point:3 () in
-  let o =
-    Experiments.Overhead.of_apps apps ~fit:fig.Experiments.Figure2.fit
-  in
-  print_string (Experiments.Overhead.render o)
-
-let print_baselines ~jobs () =
-  let b = Experiments.Baselines.run ~jobs () in
-  print_string (Experiments.Baselines.render b)
-
-let print_scaling ~jobs ~runs =
-  let fig = Experiments.Figure2.run ~jobs ~runs_per_point:3 ~max_procs:12 () in
-  let s =
-    Experiments.Scaling.run ~jobs ~runs ~fit:fig.Experiments.Figure2.fit ()
-  in
-  print_string (Experiments.Scaling.render s)
-
-let print_pools () =
-  let p = Experiments.Pools.run () in
-  print_string (Experiments.Pools.render p)
-
-let print_ablations ~jobs ~runs =
-  let a = Experiments.Ablations.run ~jobs ~runs () in
-  print_string (Experiments.Ablations.render a)
-
-let print_faults ~jobs ~trials ~children ~emit_json =
-  let r = Experiments.Resilience.run ~jobs ~trials ~children () in
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Resilience.to_json r))
-  else print_string (Experiments.Resilience.render r);
-  if not (Experiments.Resilience.all_green r) then exit 1
-
-let print_batch ~jobs ~scale ~emit_json =
-  let b = Experiments.Batching.run ~jobs ~scale () in
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Batching.to_json b))
-  else print_string (Experiments.Batching.render b);
-  if not (Experiments.Batching.batching_helps b) then exit 1
-
-let print_elide ~jobs ~scale ~emit_json =
-  let e = Experiments.Elision.run ~jobs ~scale () in
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Elision.to_json e))
-  else print_string (Experiments.Elision.render e);
-  if not (Experiments.Elision.elision_helps e) then exit 1
+(* The overhead analysis keeps its own 3-run Figure 2 fit. *)
+let overhead ~jobs apps =
+  let fig = E.Figure2.run ~jobs ~runs_per_point:3 () in
+  E.Overhead.of_apps apps ~fit:fig.E.Figure2.fit
 
 let run_tester ~children ~policy =
   let params =
@@ -160,9 +113,7 @@ let run_trace ~workload ~children ~scale ~emit_json ~perfetto =
   | None -> ());
   (match perfetto with
   | Some file ->
-      let oc = open_out file in
-      output_string oc (Instrument.Perfetto.to_string tr);
-      close_out oc;
+      write_file file (Instrument.Perfetto.to_string tr);
       Printf.printf "wrote %d spans (%d dropped) to %s\n"
         (Instrument.Trace.length tr)
         (Instrument.Trace.dropped tr)
@@ -173,70 +124,18 @@ let run_trace ~workload ~children ~scale ~emit_json ~perfetto =
           (Instrument.Json.to_string (Instrument.Trace.report_json tr))
       else print_string (Instrument.Trace.render tr))
 
-(* The knee decomposition: figure2 with the contention profiler attached.
-   Exits 1 unless the knee invariant holds (CI gate). *)
-let print_profile ~jobs ~runs ~max_procs ~emit_json =
-  let k = Experiments.Knee.run ~jobs ~runs_per_point:runs ~max_procs () in
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Knee.to_json k))
-  else print_string (Experiments.Knee.render k);
-  if not (Experiments.Knee.knee_holds k) then exit 1
-
-(* The tail analyzer (docs/TAIL.md): figure2 with the per-round flight
-   recorder and windowed timeline attached; explains which phase — and
-   which straggler responder — makes the slowest rounds slow.  Exits 1
-   unless the tail gate holds: zero unattributed time everywhere, oracle
-   green, and the top-K critical path is ack-wait at 16 CPUs but not at
-   4 (CI gate). *)
-let print_explain ~jobs ~runs ~max_procs ~top ~window ~emit_json ~perfetto =
-  let t =
-    Experiments.Tail.run ~jobs ~runs_per_point:runs ~max_procs ~top_k:top
-      ~window ()
-  in
-  (match perfetto with
-  | None -> ()
-  | Some file -> (
-      (* the largest point carries the interesting tail: write its
-         timeline as Perfetto counter tracks *)
-      let hi =
-        List.fold_left
-          (fun m (p : Experiments.Tail.point) ->
-            Stdlib.max m p.Experiments.Tail.cpus)
-          0 t.Experiments.Tail.points
-      in
-      match Experiments.Tail.find_point t ~cpus:hi with
-      | Some p -> (
-          match Instrument.Flight.timeline p.Experiments.Tail.flight with
-          | Some tl ->
-              let oc = open_out file in
-              output_string oc (Instrument.Perfetto.timeline_to_string tl);
-              close_out oc;
-              Printf.printf "wrote timeline counter tracks (%d cpus) to %s\n"
-                hi file
-          | None -> ())
-      | None -> ()));
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Tail.to_json t))
-  else print_string (Experiments.Tail.render t);
-  if not (Experiments.Tail.gate_holds t) then exit 1
-
-(* The hierarchical scale sweep (docs/TOPOLOGY.md): Figure 2 at
-   4..1024 CPUs on a clustered machine, with the numaPTE-style
-   cluster-targeted-shootdown ablation.  Exits 1 unless the gate holds
-   (CI/nightly gate). *)
-let print_scale1024 ~jobs ~runs ~full ~cluster_size ~emit_json =
-  let scales =
-    if full then Experiments.Scale1024.full_scales
-    else Experiments.Scale1024.quick_scales
-  in
-  let s =
-    Experiments.Scale1024.run ~jobs ~scales ~runs_per_point:runs ~cluster_size
-      ()
-  in
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Scale1024.to_json s))
-  else print_string (Experiments.Scale1024.render s);
-  if not (Experiments.Scale1024.gate_holds s) then exit 1
+(* The largest point of the tail analysis carries the interesting tail:
+   write its timeline as Perfetto counter tracks. *)
+let write_tail_timeline (t : E.Tail.t) file =
+  match List.rev t.E.Tail.points with
+  | { E.Tail.cpus; flight; _ } :: _ -> (
+      match Instrument.Flight.timeline flight with
+      | Some tl ->
+          write_file file (Instrument.Perfetto.timeline_to_string tl);
+          Printf.printf "wrote timeline counter tracks (%d cpus) to %s\n" cpus
+            file
+      | None -> ())
+  | [] -> ()
 
 (* The model checker (docs/MODELCHECK.md): exhaustively explore the
    shootdown protocol's small-configuration schedule space.  On a
@@ -261,9 +160,7 @@ let run_check ~cpus ~depth ~max_schedules ~no_prune ~mutant ~scenario
           let out = Check.Explorer.run_replay ?trace r in
           (match (perfetto, trace) with
           | Some file, Some tr ->
-              let oc = open_out file in
-              output_string oc (Instrument.Perfetto.to_string tr);
-              close_out oc;
+              write_file file (Instrument.Perfetto.to_string tr);
               Printf.printf "wrote %d spans to %s\n"
                 (Instrument.Trace.length tr)
                 file
@@ -297,10 +194,8 @@ let run_check ~cpus ~depth ~max_schedules ~no_prune ~mutant ~scenario
       match Experiments.Modelcheck.first_violation t with
       | None -> ()
       | Some { result = r } ->
-          let oc = open_out cex_out in
-          output_string oc
+          write_file cex_out
             (Instrument.Json.to_string (Check.Explorer.counterexample_json r));
-          close_out oc;
           if not emit_json then
             Printf.printf "counterexample written to %s (tlbshoot check \
                            --replay %s)\n"
@@ -308,17 +203,34 @@ let run_check ~cpus ~depth ~max_schedules ~no_prune ~mutant ~scenario
           exit 1)
 
 let print_all ~jobs ~scale ~runs =
-  print_figure2 ~jobs ~runs ~max_procs:15;
+  print_string (E.Figure2.render (E.Figure2.run ~jobs ~runs_per_point:runs ()));
   print_newline ();
-  print_table1 ~jobs ~scale;
+  print_string (E.Table1.render (E.Table1.run ~jobs ~scale ()));
   print_newline ();
-  print_tables ~jobs ~scale;
+  let apps = E.Apps.run ~jobs ~scale () in
+  print_string (tables apps);
   print_newline ();
-  print_overhead ~jobs ~scale;
+  print_string (E.Overhead.render (overhead ~jobs apps));
   print_newline ();
-  print_ablations ~jobs ~runs:2
+  print_string (E.Ablations.render (E.Ablations.run ~jobs ~runs:2 ()))
 
 (* --- cmdliner wiring --- *)
+
+(* An integer option that must be at least [lo]: a smaller value is a
+   usage error (exit 124), not a crash deep inside the run. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%d', expected an integer >= %d" n
+                lo))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least 1
 
 let scale_arg =
   Arg.(value & opt int 100 & info [ "scale" ] ~doc:"Workload scale percent.")
@@ -326,21 +238,26 @@ let scale_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Sim.Domain_pool.default_jobs ())
+    & opt positive (Sim.Domain_pool.default_jobs ())
     & info [ "jobs" ]
         ~doc:
           "Trial-level parallelism: independent simulations fan out over \
            this many OCaml domains (1 = sequential; output is identical \
            either way).")
 
-let runs_arg =
-  Arg.(value & opt int 10 & info [ "runs" ] ~doc:"Runs per data point.")
+let runs_arg default =
+  Arg.(
+    value & opt positive default & info [ "runs" ] ~doc:"Runs per data point.")
 
 let max_procs_arg =
-  Arg.(value & opt int 15 & info [ "max-procs" ] ~doc:"Largest processor count.")
+  Arg.(
+    value
+    & opt (int_at_least 2) 15
+    & info [ "max-procs" ] ~doc:"Largest processor count.")
 
 let children_arg =
-  Arg.(value & opt int 4 & info [ "children" ] ~doc:"Tester child threads.")
+  Arg.(
+    value & opt positive 4 & info [ "children" ] ~doc:"Tester child threads.")
 
 let policy_arg =
   Arg.(
@@ -348,98 +265,127 @@ let policy_arg =
     & opt string "shootdown"
     & info [ "policy" ] ~doc:"Consistency policy: shootdown|none|timer|hw|deferred.")
 
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Emit the report as JSON instead of text (EXPERIMENTS.md names \
+           each subcommand's schema).")
+
+let perfetto_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "perfetto" ] ~docv:"FILE" ~doc)
+
 let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
-let figure2_cmd =
-  cmd "figure2" "Reproduce Figure 2 (basic shootdown costs)"
+(* A subcommand that runs [run] and prints its text report. *)
+let report name doc render run =
+  cmd name doc Term.(const (fun r -> print_string (render r)) $ run)
+
+(* A gated subcommand (a CI gate): the report as text or, with --json, as
+   JSON, then exit 1 unless [gate] holds. *)
+let gated name doc ~render ~to_json ~gate run =
+  cmd name doc
     Term.(
-      const (fun jobs runs max_procs -> print_figure2 ~jobs ~runs ~max_procs)
-      $ jobs_arg $ runs_arg $ max_procs_arg)
+      const (fun emit_json r ->
+          print_string
+            (if emit_json then Instrument.Json.to_string (to_json r)
+             else render r);
+          if not (gate r) then Stdlib.exit 1)
+      $ json_arg $ run)
+
+let figure2_cmd =
+  report "figure2" "Reproduce Figure 2 (basic shootdown costs)"
+    E.Figure2.render
+    Term.(
+      const (fun jobs runs max_procs ->
+          E.Figure2.run ~jobs ~runs_per_point:runs ~max_procs ())
+      $ jobs_arg $ runs_arg 10 $ max_procs_arg)
 
 let table1_cmd =
-  cmd "table1" "Reproduce Table 1 (lazy evaluation)"
-    Term.(const (fun jobs scale -> print_table1 ~jobs ~scale) $ jobs_arg $ scale_arg)
+  report "table1" "Reproduce Table 1 (lazy evaluation)" E.Table1.render
+    Term.(
+      const (fun jobs scale -> E.Table1.run ~jobs ~scale ())
+      $ jobs_arg $ scale_arg)
 
 let tables_cmd =
-  cmd "tables" "Reproduce Tables 2-4 (application shootdown statistics)"
-    Term.(const (fun jobs scale -> print_tables ~jobs ~scale) $ jobs_arg $ scale_arg)
+  report "tables" "Reproduce Tables 2-4 (application shootdown statistics)"
+    tables
+    Term.(
+      const (fun jobs scale -> E.Apps.run ~jobs ~scale ())
+      $ jobs_arg $ scale_arg)
 
 let overhead_cmd =
-  cmd "overhead" "Reproduce the section 8 overhead analysis"
+  report "overhead" "Reproduce the section 8 overhead analysis"
+    E.Overhead.render
     Term.(
-      const (fun jobs scale -> print_overhead ~jobs ~scale)
+      const (fun jobs scale -> overhead ~jobs (E.Apps.run ~jobs ~scale ()))
       $ jobs_arg $ scale_arg)
 
 let baselines_cmd =
-  cmd "baselines" "Compare the section 3 consistency policies"
-    Term.(const (fun jobs -> print_baselines ~jobs ()) $ jobs_arg)
+  report "baselines" "Compare the section 3 consistency policies"
+    E.Baselines.render
+    Term.(const (fun jobs -> E.Baselines.run ~jobs ()) $ jobs_arg)
 
 let scaling_cmd =
-  cmd "scaling" "Validate the section 8 extrapolation on larger machines"
+  report "scaling" "Validate the section 8 extrapolation on larger machines"
+    E.Scaling.render
     Term.(
-      const (fun jobs runs -> print_scaling ~jobs ~runs)
-      $ jobs_arg
-      $ Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Runs per point."))
+      const (fun jobs runs ->
+          let fig = E.Figure2.run ~jobs ~runs_per_point:3 ~max_procs:12 () in
+          E.Scaling.run ~jobs ~runs ~fit:fig.E.Figure2.fit ())
+      $ jobs_arg $ runs_arg 3)
 
 let pools_cmd =
-  cmd "pools" "Measure the section 8 pool-structured-kernel proposal"
-    Term.(const print_pools $ const ())
+  report "pools" "Measure the section 8 pool-structured-kernel proposal"
+    E.Pools.render
+    Term.(const (fun () -> E.Pools.run ()) $ const ())
 
 let ablations_cmd =
-  cmd "ablations" "Run the section 9 hardware-option ablations"
+  report "ablations" "Run the section 9 hardware-option ablations"
+    E.Ablations.render
     Term.(
-      const (fun jobs runs -> print_ablations ~jobs ~runs)
-      $ jobs_arg
-      $ Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Runs per point."))
+      const (fun jobs runs -> E.Ablations.run ~jobs ~runs ())
+      $ jobs_arg $ runs_arg 3)
 
 let faults_cmd =
   let trials_arg =
-    Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Trials per fault plan.")
-  in
-  let json_arg =
     Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the sweep counters as a JSON metrics report.")
+      value & opt positive 3 & info [ "trials" ] ~doc:"Trials per fault plan.")
   in
-  cmd "faults"
+  gated "faults"
     "Run the resilience sweep: tester + consistency oracle under injected \
      faults (exits 1 on any violation)"
+    ~render:E.Resilience.render ~to_json:E.Resilience.to_json
+    ~gate:E.Resilience.all_green
     Term.(
-      const (fun jobs trials children emit_json ->
-          print_faults ~jobs ~trials ~children ~emit_json)
-      $ jobs_arg $ trials_arg $ children_arg $ json_arg)
+      const (fun jobs trials children ->
+          E.Resilience.run ~jobs ~trials ~children ())
+      $ jobs_arg $ trials_arg $ children_arg)
 
 let batch_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the ablation counters as a JSON metrics report.")
-  in
-  cmd "batch"
+  gated "batch"
     "Run the batching ablation: gather batching x lazy evaluation over the \
      Mach build and Parthenon, oracle attached (exits 1 unless batching \
      reduces Mach consistency rounds with every cell green)"
+    ~render:E.Batching.render ~to_json:E.Batching.to_json
+    ~gate:E.Batching.batching_helps
     Term.(
-      const (fun jobs scale emit_json -> print_batch ~jobs ~scale ~emit_json)
-      $ jobs_arg $ scale_arg $ json_arg)
+      const (fun jobs scale -> E.Batching.run ~jobs ~scale ())
+      $ jobs_arg $ scale_arg)
 
 let elide_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the ablation counters as a JSON metrics report.")
-  in
-  cmd "elide"
+  gated "elide"
     "Run the flush-elision ablation: generation-tagged elision x lazy \
      evaluation x gather batching over the mmap-churn server and \
      Parthenon, oracle attached (exits 1 unless elision halves churn \
      consistency rounds in every combination, leaves Parthenon untouched, \
      and every cell is green)"
+    ~render:E.Elision.render ~to_json:E.Elision.to_json
+    ~gate:E.Elision.elision_helps
     Term.(
-      const (fun jobs scale emit_json -> print_elide ~jobs ~scale ~emit_json)
-      $ jobs_arg $ scale_arg $ json_arg)
+      const (fun jobs scale -> E.Elision.run ~jobs ~scale ())
+      $ jobs_arg $ scale_arg)
 
 let tester_cmd =
   cmd "tester" "Run the section 5.1 consistency tester once"
@@ -460,52 +406,42 @@ let trace_cmd =
       value & opt int 10
       & info [ "scale" ] ~doc:"Workload scale percent (applications only).")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the span stream as a JSON report (schema \
-             tlbshoot-spans-v1, with emitted/dropped counters).")
-  in
-  let perfetto_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:
-            "Write the stream as a Chrome trace-event file (one track per \
-             CPU) loadable in ui.perfetto.dev.")
-  in
   cmd "trace"
-    "Replay a workload with the span tracer attached and dump the stream"
+    "Replay a workload with the span tracer attached and dump the stream \
+     (--json: schema tlbshoot-spans-v1, with emitted/dropped counters)"
     Term.(
       const (fun workload children scale emit_json perfetto ->
           run_trace ~workload ~children ~scale ~emit_json ~perfetto)
       $ workload_arg $ children_arg $ trace_scale_arg $ json_arg
-      $ perfetto_arg)
+      $ perfetto_arg
+          ~doc:
+            "Write the stream as a Chrome trace-event file (one track per \
+             CPU) loadable in ui.perfetto.dev.")
 
+(* The knee decomposition: figure2 with the contention profiler attached.
+   Exits 1 unless the knee invariant holds (CI gate). *)
 let profile_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the decomposition as a JSON report (tlbshoot-knee-v1).")
-  in
-  cmd "profile"
+  gated "profile"
     "Run the Figure 2 sweep with the contention profiler attached and \
      decompose where the time goes per CPU count (exits 1 unless the \
      bus-wait share rises between 4 and 16 CPUs)"
+    ~render:E.Knee.render ~to_json:E.Knee.to_json ~gate:E.Knee.knee_holds
     Term.(
-      const (fun jobs runs max_procs emit_json ->
-          print_profile ~jobs ~runs ~max_procs ~emit_json)
-      $ jobs_arg $ runs_arg $ max_procs_arg $ json_arg)
+      const (fun jobs runs max_procs ->
+          E.Knee.run ~jobs ~runs_per_point:runs ~max_procs ())
+      $ jobs_arg $ runs_arg 10 $ max_procs_arg)
 
+(* The tail analyzer (docs/TAIL.md): figure2 with the per-round flight
+   recorder and windowed timeline attached; explains which phase — and
+   which straggler responder — makes the slowest rounds slow.  Exits 1
+   unless the tail gate holds: zero unattributed time everywhere, oracle
+   green, and the top-K critical path is ack-wait at 16 CPUs but not at
+   4 (CI gate). *)
 let explain_cmd =
   let top_arg =
     Arg.(
       value
-      & opt int Instrument.Flight.default_top_k
+      & opt positive Instrument.Flight.default_top_k
       & info [ "top" ] ~docv:"K"
           ~doc:"Slowest rounds retained per recorder merge.")
   in
@@ -516,40 +452,31 @@ let explain_cmd =
       & info [ "window" ] ~docv:"US"
           ~doc:"Timeline window width in simulated microseconds.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the analysis as a JSON report (tlbshoot-tail-v1, \
-             embedding tlbshoot-flight-v1 and tlbshoot-timeline-v1).")
-  in
-  let perfetto_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:
-            "Write the largest point's timeline as Perfetto counter \
-             tracks (one track per series) loadable in ui.perfetto.dev.")
-  in
-  cmd "explain"
+  gated "explain"
     "Run the Figure 2 sweep with the per-round flight recorder attached \
      and explain the tail: exact per-phase blame, straggler responders, \
      top-K slowest rounds, windowed rates (exits 1 unless blame sums \
      exactly to round latency everywhere and the top-K critical path is \
      responder ack-wait at 16 CPUs but not at 4)"
+    ~render:E.Tail.render ~to_json:E.Tail.to_json ~gate:E.Tail.gate_holds
     Term.(
-      const (fun jobs runs max_procs top window emit_json perfetto ->
-          print_explain ~jobs ~runs ~max_procs ~top ~window ~emit_json
-            ~perfetto)
-      $ jobs_arg $ runs_arg $ max_procs_arg $ top_arg $ window_arg $ json_arg
-      $ perfetto_arg)
+      const (fun jobs runs max_procs top_k window perfetto ->
+          let t =
+            E.Tail.run ~jobs ~runs_per_point:runs ~max_procs ~top_k ~window ()
+          in
+          Option.iter (write_tail_timeline t) perfetto;
+          t)
+      $ jobs_arg $ runs_arg 10 $ max_procs_arg $ top_arg $ window_arg
+      $ perfetto_arg
+          ~doc:
+            "Write the largest point's timeline as Perfetto counter \
+             tracks (one track per series) loadable in ui.perfetto.dev.")
 
+(* The hierarchical scale sweep (docs/TOPOLOGY.md): Figure 2 at
+   4..1024 CPUs on a clustered machine, with the numaPTE-style
+   cluster-targeted-shootdown ablation.  Exits 1 unless the gate holds
+   (CI/nightly gate). *)
 let scale1024_cmd =
-  let runs_arg =
-    Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Runs per scale point.")
-  in
   let full_arg =
     Arg.(
       value & flag
@@ -560,24 +487,24 @@ let scale1024_cmd =
   in
   let cluster_size_arg =
     Arg.(
-      value & opt int 16
+      value
+      & opt (int_at_least 2) 16
       & info [ "cluster-size" ] ~doc:"CPUs per cluster bus.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the sweep as a JSON report (tlbshoot-scale-v1).")
-  in
-  cmd "scale1024"
+  gated "scale1024"
     "Run the Figure 2 sweep on a hierarchical 64-1024-CPU NUMA machine \
      and compare against the paper's 430 us + 55 us/processor \
      extrapolation (exits 1 unless the super-linear-deviation and \
      cluster-targeted-shootdown gates hold)"
+    ~render:E.Scale1024.render ~to_json:E.Scale1024.to_json
+    ~gate:E.Scale1024.gate_holds
     Term.(
-      const (fun jobs runs full cluster_size emit_json ->
-          print_scale1024 ~jobs ~runs ~full ~cluster_size ~emit_json)
-      $ jobs_arg $ runs_arg $ full_arg $ cluster_size_arg $ json_arg)
+      const (fun jobs runs full cluster_size ->
+          let scales =
+            if full then E.Scale1024.full_scales else E.Scale1024.quick_scales
+          in
+          E.Scale1024.run ~jobs ~scales ~runs_per_point:runs ~cluster_size ())
+      $ jobs_arg $ runs_arg 3 $ full_arg $ cluster_size_arg)
 
 let check_cmd =
   let cpus_arg =
@@ -626,11 +553,6 @@ let check_cmd =
             "Run one scenario instead of the whole matrix: \
              plain|pair|lazy|batch|elide|escalate|cluster.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the matrix as JSON (tlbshoot-check-v1).")
-  in
   let cex_arg =
     Arg.(
       value
@@ -647,15 +569,6 @@ let check_cmd =
             "Re-run a saved counterexample instead of exploring; exits 0 \
              iff the violation reproduces.")
   in
-  let perfetto_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:
-            "With --replay: render the replayed schedule as a Chrome \
-             trace-event file for ui.perfetto.dev.")
-  in
   cmd "check"
     "Model-check the shootdown protocol: exhaustively explore the \
      interleavings of small configurations (event tie-breaks, spinlock \
@@ -669,13 +582,17 @@ let check_cmd =
           run_check ~cpus ~depth ~max_schedules ~no_prune ~mutant ~scenario
             ~emit_json ~cex_out ~replay ~perfetto)
       $ cpus_arg $ depth_arg $ max_schedules_arg $ no_prune_arg $ mutant_arg
-      $ scenario_arg $ json_arg $ cex_arg $ replay_arg $ perfetto_arg)
+      $ scenario_arg $ json_arg $ cex_arg $ replay_arg
+      $ perfetto_arg
+          ~doc:
+            "With --replay: render the replayed schedule as a Chrome \
+             trace-event file for ui.perfetto.dev.")
 
 let all_cmd =
   cmd "all" "Run every experiment"
     Term.(
       const (fun jobs scale runs -> print_all ~jobs ~scale ~runs)
-      $ jobs_arg $ scale_arg $ runs_arg)
+      $ jobs_arg $ scale_arg $ runs_arg 10)
 
 let () =
   let info =

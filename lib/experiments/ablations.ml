@@ -142,19 +142,15 @@ let threshold_sweep ?(jobs = 1) ?(procs = 6) () =
        [ 1; 4; 12 ])
 
 (* The variant grid and the threshold sweep fan their cells out through
-   the domain pool (every cell seeds its own machines); [find_crossover]
+   the domain pool (every cell seeds its own machines; a variant's
+   "runs" in Sweep.per_point are its procs points); [find_crossover]
    stays sequential because each step depends on the previous mean. *)
 let run ?(jobs = 1) ?(runs = 3) ?(procs_points = [ 3; 7; 14 ]) () =
-  let cell_results =
-    Sim.Domain_pool.map_trials ~jobs
-      (fun (v, k) -> measure_variant ~runs ~procs:k v)
-      (List.concat_map
-         (fun v -> List.map (fun k -> (v, k)) procs_points)
-         variants)
-  in
-  let grid = Figure2.chunks (List.length procs_points) cell_results in
   {
-    grid;
+    grid =
+      Sweep.per_point ~jobs ~runs:(List.length procs_points)
+        (fun v i -> measure_variant ~runs ~procs:(List.nth procs_points i) v)
+        variants;
     procs_points;
     crossover = find_crossover ();
     threshold_rows = threshold_sweep ~jobs ();

@@ -17,8 +17,6 @@
 
 module Json = Instrument.Json
 module Profile = Instrument.Profile
-module Histogram = Instrument.Histogram
-module Stats = Instrument.Stats
 module Tablefmt = Instrument.Tablefmt
 
 type point = {
@@ -37,70 +35,33 @@ type t = {
   all_consistent : bool;
 }
 
-(* One (k children, run r) trial: figure2's trial with a profiler
-   attached.  Same seed formula, fresh machine, fresh profiler; the
-   profiler is returned for the per-point ordered merge. *)
-let trial ~params (k, r) =
-  let seed = Int64.of_int ((1000 * k) + r + 1) in
-  let params = { params with Sim.Params.seed } in
-  let machine = Vm.Machine.create ~params () in
-  let profile = Profile.create ~ncpus:params.Sim.Params.ncpus () in
-  Vm.Machine.attach_profile machine profile;
-  let res = Workloads.Tlb_tester.run machine ~children:k () in
-  Profile.set_total profile (Vm.Machine.now machine);
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    profile )
-
-let frac num den = if den > 0.0 then num /. den else 0.0
-
+(* Each (k children, run r) trial is figure2's Sweep.tester with the
+   profiler attached: same seed formula, fresh machine, fresh profiler;
+   the profilers of a point are merged in run order. *)
 let make_point ~cpus trials =
-  let samples = List.map (fun (e, _, _) -> e) trials in
-  let merged =
-    match trials with
-    | [] -> invalid_arg "Knee.make_point: empty point"
-    | (_, _, first) :: rest ->
-        (* ordered merge: run 0 first, then 1, ... — deterministic at any
-           job count, like Metrics.merge *)
-        List.iter (fun (_, _, p) -> Profile.merge ~into:first p) rest;
-        first
-  in
-  let attributed = Profile.attributed_total merged in
-  let depth =
-    match Profile.histogram merged ~name:"bus/queue_depth" with
-    | Some h when Histogram.count h > 0 -> Histogram.mean h
-    | Some _ | None -> 0.0
-  in
+  let merged = Sweep.merge_observers Profile.merge trials in
   {
     cpus;
-    mean_elapsed = Stats.mean samples;
-    bus_wait_frac =
-      frac (Profile.category_total merged Profile.Bus_wait) attributed;
-    lock_spin_frac =
-      frac (Profile.category_total merged Profile.Lock_spin) attributed;
-    ack_wait_frac =
-      frac (Profile.category_total merged Profile.Ack_wait) attributed;
-    mean_queue_depth = depth;
+    mean_elapsed = Sweep.mean_elapsed trials;
+    bus_wait_frac = Sweep.share merged Profile.Bus_wait;
+    lock_spin_frac = Sweep.share merged Profile.Lock_spin;
+    ack_wait_frac = Sweep.share merged Profile.Ack_wait;
+    mean_queue_depth = Sweep.mean_queue_depth merged;
     profile = merged;
   }
 
 let run ?(jobs = 1) ?(max_procs = 15) ?(runs_per_point = 10)
     ?(params = Sim.Params.default) () =
-  let trial_inputs =
-    List.concat_map
-      (fun i ->
-        let k = i + 1 in
-        List.init runs_per_point (fun r -> (k, r)))
-      (List.init max_procs Fun.id)
+  let per_point =
+    Sweep.tester_sweep ~jobs ~max_procs ~runs:runs_per_point ~params
+      ~attach:Sweep.profiler ()
   in
-  let results = Sim.Domain_pool.map_trials ~jobs (trial ~params) trial_inputs in
-  let all_consistent = List.for_all (fun (_, c, _) -> c) results in
-  let points =
-    List.mapi
-      (fun i per_point -> make_point ~cpus:(i + 2) per_point)
-      (Figure2.chunks runs_per_point results)
-  in
-  { points; runs_per_point; all_consistent }
+  {
+    points =
+      List.mapi (fun i trials -> make_point ~cpus:(i + 2) trials) per_point;
+    runs_per_point;
+    all_consistent = Sweep.all_consistent per_point;
+  }
 
 let find_point t ~cpus = List.find_opt (fun p -> p.cpus = cpus) t.points
 
@@ -170,18 +131,8 @@ let render t =
     t.points;
   Buffer.add_string buf (Tablefmt.render table);
   (* bar plot of the bus-wait share: the knee made visible *)
-  let width = 48 in
-  let maxv =
-    List.fold_left (fun m p -> Float.max m p.bus_wait_frac) 1e-9 t.points
-  in
-  Buffer.add_string buf "\nbus-wait share of attributed CPU time:\n";
-  List.iter
-    (fun p ->
-      let bar = int_of_float (p.bus_wait_frac /. maxv *. float_of_int width) in
-      Buffer.add_string buf
-        (Printf.sprintf "%2d %s %5.1f%%\n" p.cpus (String.make bar '#')
-           (100.0 *. p.bus_wait_frac)))
-    t.points;
+  Sweep.bar_plot buf ~title:"\nbus-wait share of attributed CPU time:\n"
+    (List.map (fun p -> (p.cpus, p.bus_wait_frac)) t.points);
   Buffer.add_string buf
     (Printf.sprintf
        "\nknee invariant (bus-wait share at 16 cpus > at 4 cpus): %b\n\

@@ -202,23 +202,14 @@ let sum_trials spec ts =
   }
 
 let run ?(jobs = 1) ?(trials = 3) ?(children = 6) () =
-  let cells =
-    List.concat_map
-      (fun spec -> List.init trials (fun r -> (spec, r)))
-      plans
-  in
-  let results =
-    Sim.Domain_pool.map_trials ~jobs
-      (fun (spec, r) ->
+  let per_plan =
+    Sweep.per_point ~jobs ~runs:trials
+      (fun spec r ->
         run_trial spec ~children
           ~seed:(Int64.of_int (0x5E5 + (r * 7919) + Hashtbl.hash spec.key)))
-      cells
+      plans
   in
-  let rows =
-    List.map2 sum_trials (List.map (fun s -> s) plans)
-      (Figure2.chunks trials results)
-  in
-  { rows; trials; children }
+  { rows = List.map2 sum_trials plans per_plan; trials; children }
 
 let render t =
   let table =

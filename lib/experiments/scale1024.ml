@@ -22,8 +22,6 @@
 
 module Json = Instrument.Json
 module Profile = Instrument.Profile
-module Histogram = Instrument.Histogram
-module Stats = Instrument.Stats
 module Tablefmt = Instrument.Tablefmt
 
 type point = {
@@ -75,43 +73,11 @@ let scale_params ~base ~cluster_size n =
         (200.0 *. float_of_int n);
   }
 
-(* One (n CPUs, run r) trial: the tester with n-1 children — the
-   maximum one counter page supports is 1023 children, which is exactly
-   the 1024-CPU point.  Seed formula follows figure2's shape with n in
-   the major position, so points are reproducible in isolation. *)
-let trial ~base ~cluster_size (n, r) =
-  let seed = Int64.of_int ((1000 * n) + r + 1) in
-  let params =
-    { (scale_params ~base ~cluster_size n) with Sim.Params.seed }
-  in
-  let machine = Vm.Machine.create ~params () in
-  let profile = Profile.create ~ncpus:n () in
-  Vm.Machine.attach_profile machine profile;
-  let res = Workloads.Tlb_tester.run machine ~children:(n - 1) () in
-  Profile.set_total profile (Vm.Machine.now machine);
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    profile )
-
-let frac num den = if den > 0.0 then num /. den else 0.0
 let extrapolate n = 430.0 +. (55.0 *. float_of_int n)
 
 let make_point ~cluster_size ~cpus trials =
-  let samples = List.map (fun (e, _, _) -> e) trials in
-  let merged =
-    match trials with
-    | [] -> invalid_arg "Scale1024.make_point: empty point"
-    | (_, _, first) :: rest ->
-        List.iter (fun (_, _, p) -> Profile.merge ~into:first p) rest;
-        first
-  in
-  let attributed = Profile.attributed_total merged in
-  let depth =
-    match Profile.histogram merged ~name:"bus/queue_depth" with
-    | Some h when Histogram.count h > 0 -> Histogram.mean h
-    | Some _ | None -> 0.0
-  in
-  let mean_elapsed = Stats.mean samples in
+  let merged = Sweep.merge_observers Profile.merge trials in
+  let mean_elapsed = Sweep.mean_elapsed trials in
   let extrapolated = extrapolate cpus in
   {
     cpus;
@@ -119,101 +85,79 @@ let make_point ~cluster_size ~cpus trials =
     mean_elapsed;
     extrapolated;
     deviation = mean_elapsed /. extrapolated;
-    bus_wait_frac =
-      frac (Profile.category_total merged Profile.Bus_wait) attributed;
-    interconnect_wait_frac =
-      frac (Profile.category_total merged Profile.Interconnect_wait) attributed;
-    ack_wait_frac =
-      frac (Profile.category_total merged Profile.Ack_wait) attributed;
-    mean_queue_depth = depth;
+    bus_wait_frac = Sweep.share merged Profile.Bus_wait;
+    interconnect_wait_frac = Sweep.share merged Profile.Interconnect_wait;
+    ack_wait_frac = Sweep.share merged Profile.Ack_wait;
+    mean_queue_depth = Sweep.mean_queue_depth merged;
     profile = merged;
   }
 
-(* One ablation trial; returns (elapsed, consistent, ipis sent). *)
-let ablation_trial ~base ~cluster_size ~n (mode, r) =
-  let seed = Int64.of_int ((1_000_000 * n) + r + 1) in
-  let params =
-    {
-      (scale_params ~base ~cluster_size n) with
-      Sim.Params.seed;
-      ipi_mode = mode;
-    }
+(* Ablation at the largest swept scale <= 256 with at least two
+   clusters: a tester task resident on cluster 0 only, targeted
+   multicast vs. broadcast.  Each trial is Sweep.tester keyed 1000 n,
+   observing the IPIs the machine sent. *)
+let ablation ~jobs ~runs ~base ~cluster_size scales =
+  let n =
+    List.fold_left
+      (fun acc n -> if n <= 256 && n >= 2 * cluster_size then n else acc)
+      0 scales
   in
-  let machine = Vm.Machine.create ~params () in
-  let res = Workloads.Tlb_tester.run machine ~children:(cluster_size - 1) () in
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    machine.Vm.Machine.ctx.Core.Pmap.ipis_sent )
+  if n = 0 then (None, true)
+  else
+    let per_mode =
+      Sweep.per_point ~jobs ~runs
+        (fun mode r ->
+          Sweep.tester ~key:(1000 * n)
+            ~params:
+              {
+                (scale_params ~base ~cluster_size n) with
+                Sim.Params.ipi_mode = mode;
+              }
+            ~attach:(fun m () -> m.Vm.Machine.ctx.Core.Pmap.ipis_sent)
+            ~children:(cluster_size - 1) r)
+        [ Sim.Params.Multicast; Sim.Params.Broadcast ]
+    in
+    let ipis l = List.fold_left (fun acc t -> max acc t.Sweep.observer) 0 l in
+    match per_mode with
+    | [ targeted; broadcast ] ->
+        ( Some
+            {
+              ablation_cpus = n;
+              resident_cpus = cluster_size;
+              targeted_elapsed = Sweep.mean_elapsed targeted;
+              targeted_ipis = ipis targeted;
+              broadcast_elapsed = Sweep.mean_elapsed broadcast;
+              broadcast_ipis = ipis broadcast;
+            },
+          Sweep.all_consistent per_mode )
+    | _ -> assert false
 
+(* Each (n CPUs, run r) trial is Sweep.tester keyed n with n-1 children
+   — the maximum one counter page supports is 1023 children, which is
+   exactly the 1024-CPU point — and the profiler attached, so points are
+   reproducible in isolation. *)
 let run ?(jobs = 1) ?(scales = quick_scales) ?(runs_per_point = 3)
     ?(cluster_size = 16) ?(params = Sim.Params.default) () =
   if scales = [] then invalid_arg "Scale1024.run: empty scale list";
   if cluster_size < 2 then invalid_arg "Scale1024.run: cluster_size must be >= 2";
   let scales = List.sort_uniq compare scales in
-  let trial_inputs =
-    List.concat_map
-      (fun n -> List.init runs_per_point (fun r -> (n, r)))
+  let per_point =
+    Sweep.per_point ~jobs ~runs:runs_per_point
+      (fun n r ->
+        Sweep.tester ~key:n
+          ~params:(scale_params ~base:params ~cluster_size n)
+          ~attach:Sweep.profiler ~children:(n - 1) r)
       scales
-  in
-  let results =
-    Sim.Domain_pool.map_trials ~jobs
-      (trial ~base:params ~cluster_size)
-      trial_inputs
-  in
-  let sweep_consistent = List.for_all (fun (_, c, _) -> c) results in
-  let points =
-    List.map2
-      (fun n per_point -> make_point ~cluster_size ~cpus:n per_point)
-      scales
-      (Figure2.chunks runs_per_point results)
-  in
-  (* Ablation at the largest swept scale <= 256 with at least two
-     clusters: a tester task resident on cluster 0 only, targeted
-     multicast vs. broadcast. *)
-  let abl_n =
-    List.fold_left
-      (fun acc n -> if n <= 256 && n >= 2 * cluster_size then n else acc)
-      0 scales
   in
   let ablation, ablation_consistent =
-    if abl_n = 0 then (None, true)
-    else begin
-      let inputs =
-        List.concat_map
-          (fun mode -> List.init runs_per_point (fun r -> (mode, r)))
-          [ Sim.Params.Multicast; Sim.Params.Broadcast ]
-      in
-      let res =
-        Sim.Domain_pool.map_trials ~jobs
-          (ablation_trial ~base:params ~cluster_size ~n:abl_n)
-          inputs
-      in
-      let targeted, broadcast =
-        match Figure2.chunks runs_per_point res with
-        | [ a; b ] -> (a, b)
-        | _ -> invalid_arg "Scale1024.run: ablation chunking"
-      in
-      let mean l = Stats.mean (List.map (fun (e, _, _) -> e) l) in
-      let ipis l =
-        List.fold_left (fun acc (_, _, i) -> max acc i) 0 l
-      in
-      ( Some
-          {
-            ablation_cpus = abl_n;
-            resident_cpus = cluster_size;
-            targeted_elapsed = mean targeted;
-            targeted_ipis = ipis targeted;
-            broadcast_elapsed = mean broadcast;
-            broadcast_ipis = ipis broadcast;
-          },
-        List.for_all (fun (_, c, _) -> c) res )
-    end
+    ablation ~jobs ~runs:runs_per_point ~base:params ~cluster_size scales
   in
   {
-    points;
+    points =
+      List.map2 (fun n -> make_point ~cluster_size ~cpus:n) scales per_point;
     runs_per_point;
     cluster_size;
-    all_consistent = sweep_consistent && ablation_consistent;
+    all_consistent = Sweep.all_consistent per_point && ablation_consistent;
     ablation;
   }
 

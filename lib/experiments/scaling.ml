@@ -28,10 +28,10 @@ type point = {
 
 type t = { fit : Stats.fit; points : point list }
 
-(* One (machine size, bus regime, run) trial — the seed derives only from
-   (ncpus, r), so the sweep fans out through Sim.Domain_pool with results
-   identical to a sequential pass. *)
-let trial (ncpus, scaled_bus, r) =
+(* One (machine size, bus regime) cell's run [r] — the seed derives only
+   from (ncpus, r), so the sweep fans out through Sweep.per_point with
+   results identical to a sequential pass. *)
+let trial (ncpus, scaled_bus) r =
   let involved = ncpus - 2 in
   let params =
     {
@@ -67,30 +67,21 @@ let run ?(jobs = 1) ?(runs = 3) ?(sizes = [ 16; 24; 32; 48; 64 ]) ~fit () =
     fit.Stats.intercept +. (fit.Stats.slope *. float_of_int k)
   in
   let cells =
-    List.concat_map
-      (fun ncpus -> [ (ncpus, true); (ncpus, false) ])
-      sizes
-  in
-  let samples =
-    Sim.Domain_pool.map_trials ~jobs trial
-      (List.concat_map
-         (fun (ncpus, scaled_bus) ->
-           List.init runs (fun r -> (ncpus, scaled_bus, r)))
-         cells)
+    List.concat_map (fun ncpus -> [ (ncpus, true); (ncpus, false) ]) sizes
   in
   let points =
-    List.mapi
-      (fun i per_cell ->
-        let ncpus, scaled_bus = List.nth cells i in
+    List.map2
+      (fun (ncpus, scaled_bus) samples ->
         let involved = ncpus - 2 in
         {
           ncpus;
           involved;
-          measured = Stats.mean per_cell;
+          measured = Stats.mean samples;
           predicted = predict involved;
           scaled_bus;
         })
-      (Figure2.chunks runs samples)
+      cells
+      (Sweep.per_point ~jobs ~runs trial cells)
   in
   { fit; points }
 

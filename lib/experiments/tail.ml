@@ -23,7 +23,6 @@
 module Json = Instrument.Json
 module Flight = Instrument.Flight
 module Timeline = Instrument.Timeline
-module Stats = Instrument.Stats
 module Tablefmt = Instrument.Tablefmt
 
 type point = {
@@ -48,51 +47,37 @@ type t = {
   all_consistent : bool;
 }
 
-(* One (k children, run r) trial: figure2's trial with a recorder
-   attached.  Same seed formula, fresh machine, fresh recorder; the
-   recorder (with its timeline) is returned for the per-point ordered
-   merge. *)
 (* Rounds per trial beyond the tester's final reprotect: the churn phase
    deallocates this many main-thread-owned pages, each a complete
    k-responder round, so a point's top-K is a real slice of a real round
    population instead of the whole of it. *)
 let churn_rounds = 12
 
-let trial ~params ~top_k ~window (k, r) =
-  let seed = Int64.of_int ((1000 * k) + r + 1) in
-  let params = { params with Sim.Params.seed } in
-  let machine = Vm.Machine.create ~params () in
-  let flight = Flight.create ~top_k ~ncpus:params.Sim.Params.ncpus () in
+(* Each (k children, run r) trial is figure2's Sweep.tester in churn
+   mode with a recorder (and its timeline) attached: same seed formula,
+   fresh machine, fresh recorder; the recorders of a point are merged in
+   run order. *)
+let recorder ~top_k ~window machine =
+  let flight =
+    Flight.create ~top_k ~ncpus:machine.Vm.Machine.params.Sim.Params.ncpus ()
+  in
   Flight.set_timeline flight (Some (Timeline.create ~window ()));
   Vm.Machine.attach_flight machine flight;
-  let res = Workloads.Tlb_tester.run ~churn_rounds machine ~children:k () in
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    flight )
-
-let frac num den = if den > 0.0 then num /. den else 0.0
+  fun () -> flight
 
 let make_point ~cpus trials =
-  let samples = List.map (fun (e, _, _) -> e) trials in
-  let merged =
-    match trials with
-    | [] -> invalid_arg "Tail.make_point: empty point"
-    | (_, _, first) :: rest ->
-        (* ordered merge: run 0 first, then 1, ... — deterministic at any
-           job count, like Profile.merge *)
-        List.iter (fun (_, _, f) -> Flight.merge ~into:first f) rest;
-        first
-  in
+  let merged = Sweep.merge_observers Flight.merge trials in
   let attributed = Flight.attributed_total merged in
+  let share phase = Sweep.frac (Flight.phase_total merged phase) attributed in
   {
     cpus;
-    mean_elapsed = Stats.mean samples;
+    mean_elapsed = Sweep.mean_elapsed trials;
     rounds = Flight.rounds merged;
     ipis = Flight.ipis merged;
     retries = Flight.retries merged;
     unattributed = Flight.unattributed merged;
-    ack_share = frac (Flight.phase_total merged Flight.Ack_wait) attributed;
-    setup_share = frac (Flight.phase_total merged Flight.Setup) attributed;
+    ack_share = share Flight.Ack_wait;
+    setup_share = share Flight.Setup;
     dominant = Flight.dominant_phase merged;
     tail_dominant = Flight.tail_dominant merged;
     flight = merged;
@@ -131,24 +116,18 @@ let default_params =
 let run ?(jobs = 1) ?(max_procs = 15) ?(runs_per_point = 10)
     ?(top_k = Flight.default_top_k) ?(window = Timeline.default_window)
     ?(params = default_params) () =
-  let trial_inputs =
-    List.concat_map
-      (fun i ->
-        let k = i + 1 in
-        List.init runs_per_point (fun r -> (k, r)))
-      (List.init max_procs Fun.id)
+  let per_point =
+    Sweep.tester_sweep ~churn_rounds ~jobs ~max_procs ~runs:runs_per_point
+      ~params ~attach:(recorder ~top_k ~window) ()
   in
-  let results =
-    Sim.Domain_pool.map_trials ~jobs (trial ~params ~top_k ~window)
-      trial_inputs
-  in
-  let all_consistent = List.for_all (fun (_, c, _) -> c) results in
-  let points =
-    List.mapi
-      (fun i per_point -> make_point ~cpus:(i + 2) per_point)
-      (Figure2.chunks runs_per_point results)
-  in
-  { points; runs_per_point; top_k; window; all_consistent }
+  {
+    points =
+      List.mapi (fun i trials -> make_point ~cpus:(i + 2) trials) per_point;
+    runs_per_point;
+    top_k;
+    window;
+    all_consistent = Sweep.all_consistent per_point;
+  }
 
 let find_point t ~cpus = List.find_opt (fun p -> p.cpus = cpus) t.points
 
@@ -288,18 +267,8 @@ let render ?(lo = 4) ?(hi = 16) t =
     t.points;
   Buffer.add_string buf (Tablefmt.render table);
   (* bar plot of the ack-wait blame share: the shift made visible *)
-  let width = 48 in
-  let maxv =
-    List.fold_left (fun m p -> Float.max m p.ack_share) 1e-9 t.points
-  in
-  Buffer.add_string buf "\nack-wait share of attributed round time:\n";
-  List.iter
-    (fun p ->
-      let bar = int_of_float (p.ack_share /. maxv *. float_of_int width) in
-      Buffer.add_string buf
-        (Printf.sprintf "%2d %s %5.1f%%\n" p.cpus (String.make bar '#')
-           (100.0 *. p.ack_share)))
-    t.points;
+  Sweep.bar_plot buf ~title:"\nack-wait share of attributed round time:\n"
+    (List.map (fun p -> (p.cpus, p.ack_share)) t.points);
   (* the hi point's slowest rounds, with their critical paths *)
   (match find_point t ~cpus:hi with
   | None -> ()

@@ -177,20 +177,38 @@ let pool_identical_across_jobs =
       let seq = outcome 1 in
       List.for_all (fun jobs -> outcome jobs = seq) [ 2; 4; 8 ])
 
+(* Also the grid under every tester sweep: Sweep.per_point regroups the
+   pool's results per point exactly as a sequential map would, at every
+   job count, and rejects a run count below 1. *)
 let figure2_identical_across_jobs =
   QCheck.Test.make ~name:"Figure2.run identical at jobs in {1,2,4}" ~count:4
-    QCheck.(pair (int_range 2 4) (int_range 1 2))
-    (fun (max_procs, runs_per_point) ->
+    QCheck.(triple (int_range 2 4) (int_range 1 2) (int_range 1 3))
+    (fun (max_procs, runs_per_point, grid_runs) ->
       (* the shrinker may walk outside the generator's range; clamp to the
          smallest valid sweep (the fit needs >= 2 points) *)
       let max_procs = max 2 (min 4 max_procs) in
       let runs_per_point = max 1 (min 2 runs_per_point) in
+      let grid_runs = max 1 grid_runs in
       let at jobs =
         Experiments.Figure2.run ~jobs ~max_procs ~runs_per_point
           ~fit_limit:max_procs ()
       in
+      let points = List.init max_procs succ in
+      let f p r = (100 * p) + r in
+      let grid jobs runs =
+        match Experiments.Sweep.per_point ~jobs ~runs f points with
+        | per_point -> Some per_point
+        | exception Invalid_argument _ -> None
+      in
+      let expected = List.map (fun p -> List.init grid_runs (f p)) points in
       let seq = at 1 in
-      List.for_all (fun jobs -> at jobs = seq) [ 2; 4 ])
+      List.for_all
+        (fun jobs ->
+          grid jobs grid_runs = Some expected
+          && grid jobs 0 = None
+          && grid jobs (-grid_runs) = None
+          && (jobs = 1 || at jobs = seq))
+        [ 1; 2; 4 ])
 
 let () =
   Alcotest.run "parallel"

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Docs-sync check (CI fast tier): fail when the documentation index
-# drifts from the code.  Five invariants:
+# drifts from the code.  Six invariants:
 #
 #   1. every file under docs/ is linked from the README's Map table;
-#   2. every tlbshoot subcommand defined in bin/tlbshoot_cli.ml is
-#      documented (as `tlbshoot <name>`) in EXPERIMENTS.md;
+#   2. every tlbshoot subcommand defined in bin/tlbshoot_cli.ml (built
+#      with `cmd`, `report` or `gated`) is documented (as
+#      `tlbshoot <name>`) in EXPERIMENTS.md — and the scan must find
+#      some, so a CLI reshaped past these patterns fails loudly;
 #   3. every versioned JSON schema string emitted anywhere in bin/ or
 #      lib/ (tlbshoot-*-v1) is named in EXPERIMENTS.md;
 #   4. the reverse of 3: every schema EXPERIMENTS.md names still exists
@@ -12,7 +14,10 @@
 #      was renamed or deleted;
 #   5. every constructor of the shootdown probe stream
 #      (lib/instrument/probe.ml) has a row in the probe table of
-#      docs/OBSERVABILITY.md.
+#      docs/OBSERVABILITY.md;
+#   6. every gated subcommand (built with `gated`: report, then exit 1
+#      unless its gate holds) is run by a `tlbshoot_cli.exe -- <name>`
+#      step in .github/workflows/ci.yml.
 #
 # POSIX sh + grep/sed only; run from the repository root:
 #
@@ -37,7 +42,12 @@ for doc in docs/*.md; do
 done
 
 # 2. Every CLI subcommand is documented in EXPERIMENTS.md.
-for cmd in $(sed -n 's/.*cmd "\([a-z0-9]*\)".*/\1/p' bin/tlbshoot_cli.ml | sort -u); do
+cmds=$(sed -n -e 's/.*cmd "\([a-z0-9]*\)".*/\1/p' \
+  -e 's/.*report "\([a-z0-9]*\)".*/\1/p' \
+  -e 's/.*gated "\([a-z0-9]*\)".*/\1/p' bin/tlbshoot_cli.ml | sort -u)
+[ -n "$cmds" ] ||
+  complain "found no subcommand in bin/tlbshoot_cli.ml (cmd/report/gated \"<name>\")"
+for cmd in $cmds; do
   grep -q "tlbshoot ${cmd}" EXPERIMENTS.md ||
     complain "subcommand 'tlbshoot ${cmd}' is not documented in EXPERIMENTS.md"
 done
@@ -60,7 +70,13 @@ for probe in $(sed -n 's/^  | \([A-Z][A-Za-z_]*\) of .*/\1/p' lib/instrument/pro
     complain "probe '${probe}' has no row in the docs/OBSERVABILITY.md probe table"
 done
 
+# 6. Every gated subcommand runs in CI.
+for cmd in $(sed -n 's/.*gated "\([a-z0-9]*\)".*/\1/p' bin/tlbshoot_cli.ml); do
+  grep -qE "tlbshoot_cli.exe -- ${cmd}( |\$)" .github/workflows/ci.yml ||
+    complain "gated subcommand '${cmd}' is not run by .github/workflows/ci.yml"
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "doc-sync: README map, subcommand index, schema index and probe table are in sync"
+  echo "doc-sync: README map, subcommand index, schema index, probe table and CI gates are in sync"
 fi
 exit "$fail"
