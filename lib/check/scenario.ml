@@ -46,7 +46,6 @@ type spec = {
 }
 
 let key s = s.sc_key
-let label s = s.sc_label
 let cpus s ~requested = s.sc_cpus requested
 let pages s = s.sc_pages
 

@@ -40,8 +40,6 @@ type spec
 val key : spec -> string
 (** Stable [a-z0-9-] identifier used in JSON and on the command line. *)
 
-val label : spec -> string
-
 val cpus : spec -> requested:int -> int
 (** Actual processor count used when the caller asks for [requested]
     (the clustered scenario needs at least two clusters of two). *)

@@ -12,8 +12,8 @@
     The caller's contract is the mmu_gather contract: between an
     operation and the flush, stale translations may survive in any TLB
     (including the caller's own), so nothing a batched operation frees
-    may be reused until the flush — register frame frees and other
-    teardown with {!defer}.  The batch announces its in-flight ranges in
+    may be reused until the flush ([Vm.Batch] holds frame frees and
+    other teardown until then).  The batch announces its in-flight ranges in
     [ctx.open_batches], which is how the consistency oracle knows they
     are legal mid-protocol staleness.
 
@@ -46,14 +46,8 @@ val protect :
     like {!unmap}.
     @raise Invalid_argument after {!finish}. *)
 
-val defer : t -> (unit -> unit) -> unit
-(** Register a thunk (frame free, object teardown) to run after the next
-    flush, in registration order.
-    @raise Invalid_argument after {!finish}. *)
-
 val flush : t -> Sim.Cpu.t -> unit
-(** Retire all pending ranges in one consistency round, then run the
-    deferred thunks.  A batch with nothing pending flushes for free (no
+(** Retire all pending ranges in one consistency round.  A batch with nothing pending flushes for free (no
     lock, no round, no cost).  The batch stays open for further
     operations.
     @raise Invalid_argument after {!finish}. *)

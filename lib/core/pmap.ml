@@ -283,13 +283,6 @@ let other_users ctx pmap ~me =
   in
   go 0
 
-let pmap_of_space ctx ~space ~on:(cpu_id : int) =
-  if space = 0 then Some ctx.kernel_pmap
-  else
-    match ctx.current_user.(cpu_id) with
-    | Some p when p.space_id = space -> Some p
-    | Some _ | None -> None
-
 (* Is [vpn] of [space] covered by an open gather batch?  Such a page may
    legally linger in a TLB: its PTE was already cleared or downgraded but
    the invalidation is deferred until the batch flushes. *)

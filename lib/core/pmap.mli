@@ -157,8 +157,6 @@ val deactivate : ctx -> t -> Sim.Cpu.t -> unit
 val other_users : ctx -> t -> me:int -> bool
 (** Is any processor other than [me] using this pmap? *)
 
-val pmap_of_space : ctx -> space:int -> on:int -> t option
-
 val batch_covers : ctx -> space:int -> vpn:Hw.Addr.vpn -> bool
 (** Is [vpn] of [space] covered by an open gather batch?  Such a page may
     legally linger in a TLB until the batch flushes. *)

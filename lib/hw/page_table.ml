@@ -44,14 +44,12 @@ type t = {
   chunks : pte array array; (* 1024 first-level slots; [absent_chunk]
                                where no second-level table exists *)
   mutable valid_ptes : int; (* number of valid entries, for cheap emptiness *)
-  mutable l2_tables : int;
 }
 
 let create () =
-  { chunks = Array.make 1024 absent_chunk; valid_ptes = 0; l2_tables = 0 }
+  { chunks = Array.make 1024 absent_chunk; valid_ptes = 0 }
 
 let valid_count t = t.valid_ptes
-let l2_table_count t = t.l2_tables
 
 (* Single-probe walk: the PTE for [vpn], which is [no_pte] (invalid) when
    the covering chunk was never allocated.  The result must be treated as
@@ -64,12 +62,6 @@ let lookup t vpn =
   let pte = find t vpn in
   if pte.valid then Some pte else None
 
-(* The raw slot, valid or not (used by the MMU's interlocked ref/mod
-   writeback, which must observe invalid entries). *)
-let slot t vpn =
-  let l2 = t.chunks.(Addr.l1_index vpn) in
-  if l2 == absent_chunk then None else Some l2.(Addr.l2_index vpn)
-
 let ensure_slot t vpn =
   let i1 = Addr.l1_index vpn in
   let l2 = t.chunks.(i1) in
@@ -78,7 +70,6 @@ let ensure_slot t vpn =
     else begin
       let l2 = Array.init 1024 (fun _ -> invalid_pte ()) in
       t.chunks.(i1) <- l2;
-      t.l2_tables <- t.l2_tables + 1;
       l2
     end
   in
@@ -124,12 +115,6 @@ let iter_valid_range t ~lo ~hi f =
     end
   done
 
-(* Count valid entries in a range (the lazy-evaluation check). *)
-let count_valid_range t ~lo ~hi =
-  let n = ref 0 in
-  iter_valid_range t ~lo ~hi (fun _ _ -> incr n);
-  !n
-
 let any_valid_in_range t ~lo ~hi =
   let found = ref false in
   (try
@@ -167,5 +152,4 @@ let pages_examined t ~lo ~hi =
 (* Release all second-level chunks (pmap destruction). *)
 let destroy t =
   Array.fill t.chunks 0 (Array.length t.chunks) absent_chunk;
-  t.valid_ptes <- 0;
-  t.l2_tables <- 0
+  t.valid_ptes <- 0

@@ -5,7 +5,6 @@
 type t
 
 val create : frames:int -> t
-val frames : t -> int
 val free_frames : t -> int
 
 exception Out_of_memory

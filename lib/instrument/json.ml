@@ -327,6 +327,4 @@ let get_float = function
   | _ -> None
 
 let get_string = function Str s -> Some s | _ -> None
-let get_bool = function Bool b -> Some b | _ -> None
 let get_list = function List l -> Some l | _ -> None
-let get_obj = function Obj l -> Some l | _ -> None

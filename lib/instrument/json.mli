@@ -37,6 +37,4 @@ val get_float : t -> float option
 (** [Int] values are accepted and converted. *)
 
 val get_string : t -> string option
-val get_bool : t -> bool option
 val get_list : t -> t list option
-val get_obj : t -> (string * t) list option

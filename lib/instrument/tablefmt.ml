@@ -1,7 +1,6 @@
 (* Paper-style text tables: a header row, aligned columns, and helpers for
    the mean+-std and "NM" (not meaningful) conventions used in Tables 1-4. *)
 
-
 type t = {
   title : string;
   headers : string list;
@@ -17,8 +16,6 @@ let mean_std mean std =
   else Printf.sprintf "%.0f\xc2\xb1%.0f" mean std
 
 let us v = if Float.is_nan v then "NM" else Printf.sprintf "%.0f" v
-let int_cell n = string_of_int n
-let pct v = if Float.is_nan v then "NM" else Printf.sprintf "%.2f%%" v
 
 (* Not meaningful: insufficient data or an unusual distribution. *)
 let nm = "NM"
@@ -65,5 +62,3 @@ let render t =
   Buffer.add_char buf '\n';
   List.iter (fun r -> line_for r ~first_left:true) (List.tl all);
   Buffer.contents buf
-
-let print t = print_string (render t)

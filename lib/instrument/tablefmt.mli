@@ -12,11 +12,7 @@ val mean_std : float -> float -> string
 val us : float -> string
 (** Whole microseconds; "NM" for nan. *)
 
-val int_cell : int -> string
-val pct : float -> string
-
 val nm : string
 (** "NM": insufficient data or an unusual distribution. *)
 
 val render : t -> string
-val print : t -> unit

@@ -296,16 +296,6 @@ let restore_ipl t saved =
   t.ipl <- saved;
   check_interrupts t
 
-(* Run [f] with all interrupts masked. *)
-let with_disabled t f =
-  let saved = set_ipl t Interrupt.ipl_high in
-  let finish () = restore_ipl t saved in
-  (try f ()
-   with e ->
-     finish ();
-     raise e);
-  finish ()
-
 (* Kernel-mode computation: like [step], but sprinkled with short sections
    run at device IPL, modelling the kernel's widespread interrupt
    disablement that the paper identifies as the cause of the extra latency

@@ -15,8 +15,6 @@
 
 type kind = Tie | Lock | Intr
 
-let kind_name = function Tie -> "tie" | Lock -> "lock" | Intr -> "intr"
-
 type decision = { d_kind : kind; d_alts : int; d_chosen : int }
 
 type t = {
@@ -51,7 +49,6 @@ let create ?(max_decisions = 4096) ?(prefix = [||]) ?(armed = true) () =
   }
 
 let arm t = t.armed <- true
-let armed t = t.armed
 
 let choose t kind n =
   t.consulted <- t.consulted + 1;
@@ -82,7 +79,6 @@ let choose t kind n =
 let note_elision t n = if n > 0 then t.elided <- t.elided + n
 let set_observer t f = t.on_choice <- f
 let decisions t = List.rev t.log_rev
-let depth t = t.pos
 let truncated t = t.truncated
 let consulted t = t.consulted
 let elided t = t.elided

@@ -19,9 +19,6 @@ type kind =
   | Lock  (** grab a free spinlock now, or spin once more first *)
   | Intr  (** deliver a pending deliverable interrupt, or defer it *)
 
-val kind_name : kind -> string
-(** Lower-case tag used in counterexample JSON and rendered traces. *)
-
 type decision = {
   d_kind : kind;
   d_alts : int;  (** number of alternatives offered (at least 2) *)
@@ -47,8 +44,6 @@ val arm : t -> unit
     before it is identical in every run, which is what keeps prefix
     positions aligned across runs. *)
 
-val armed : t -> bool
-
 val choose : t -> kind -> int -> int
 (** [choose t kind n] records and returns the decision at the current
     position: the prefix value if the position is covered (clamped into
@@ -67,9 +62,6 @@ val set_observer : t -> (int -> unit) option -> unit
 
 val decisions : t -> decision list
 (** The recorded decision log, in execution order. *)
-
-val depth : t -> int
-(** Number of real decisions recorded so far. *)
 
 val truncated : t -> bool
 (** Whether any choice fell past [max_decisions] and defaulted. *)

@@ -90,10 +90,6 @@ let int t bound =
   let r = ((rh land 0x3FFF_FFFF) lsl 32) lor rl in
   r mod bound
 
-let bool t =
-  let _, rl = next t in
-  rl land 1 = 1
-
 let uniform t lo hi = lo +. ((hi -. lo) *. float t)
 
 (* Exponential with the given mean; used for Poisson inter-arrival times. *)

@@ -32,7 +32,6 @@ let start (vms : Vmstate.t) (map : Vm_map.t) =
   { vms; map; g = Gather.start vms.Vmstate.ctx map.Vm_map.pmap; cleanup = [] }
 
 let map t = t.map
-let gather t = t.g
 
 let flush t self =
   Gather.flush t.g (Sim.Sched.current_cpu self);

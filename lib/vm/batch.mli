@@ -19,9 +19,6 @@ val start : Vmstate.t -> Vm_map.t -> t
 val map : t -> Vm_map.t
 (** The map this batch is bound to. *)
 
-val gather : t -> Core.Gather.t
-(** The underlying accumulator (for inspection in tests). *)
-
 val deallocate : t -> Sim.Sched.thread -> lo:Hw.Addr.vpn -> hi:Hw.Addr.vpn -> unit
 (** Like {!Vm_map.deallocate}, but the TLB round, the quarantine lift
     and the object teardown all wait for the flush.  Auto-flushes past

@@ -5,13 +5,7 @@
 
 type stats = { mutable stolen : int; mutable second_chances : int }
 
-val stats : stats
 val pageout_io_latency : float
-
-val run_once : Vmstate.t -> Sim.Sched.thread -> bool
-(** One reclaim pass; [true] if any page was stolen.  When
-    [Params.batch_shootdowns] is set the pass gathers every doomed
-    mapping into one shootdown round per distinct pmap. *)
 
 val daemon : Vmstate.t -> Sim.Sched.thread -> unit
 (** The daemon body: sleeps until kicked by low memory, then steals until

@@ -304,13 +304,6 @@ let protect vms self t ~lo ~hi ~prot =
   simplify t;
   unlock vms self t
 
-let set_inheritance vms self t ~lo ~hi ~inh =
-  lock vms self t;
-  clip_range t ~lo ~hi;
-  List.iter (fun e -> e.inh <- inh) (entries_in t ~lo ~hi);
-  simplify t;
-  unlock vms self t
-
 (* ------------------------------------------------------------------ *)
 (* Fork: build a child map according to per-entry inheritance.  Copy
    entries become copy-on-write: both sides share the object read-only

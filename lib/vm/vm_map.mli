@@ -90,9 +90,6 @@ val protect :
     increases are picked up by faults.
     @raise Protection_failure when [prot] exceeds an entry's max. *)
 
-val set_inheritance :
-  Vmstate.t -> Sim.Sched.thread -> t -> lo:Hw.Addr.vpn -> hi:Hw.Addr.vpn -> inh:inheritance -> unit
-
 val fork : Vmstate.t -> Sim.Sched.thread -> t -> child_pmap:Core.Pmap.t -> t
 (** Build a child map by per-entry inheritance.  Copy entries become
     copy-on-write on both sides; the parent's writable mappings are

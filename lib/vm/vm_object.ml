@@ -57,8 +57,6 @@ let insert_page t page = Hashtbl.replace t.pages page.page_offset page
 
 let remove_page t page = Hashtbl.remove t.pages page.page_offset
 
-let resident_count t = Hashtbl.length t.pages
-
 (* Create a shadow of [t] covering [size] pages starting at page [offset]:
    the new object starts empty and defers lookups to [t].  Used when a
    copy-on-write region is first written. *)

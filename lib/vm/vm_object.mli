@@ -28,10 +28,8 @@ type t = {
 
 val create : ?backing:backing -> size:int -> unit -> t
 val reference : t -> unit
-val resident_page : t -> offset:int -> page option
 val insert_page : t -> page -> unit
 val remove_page : t -> page -> unit
-val resident_count : t -> int
 
 val make_shadow : t -> offset:int -> size:int -> t
 (** Interpose a shadow: the new object starts empty and defers lookups to

@@ -50,8 +50,6 @@ val deactivate_some : t -> int -> unit
 val wait_not_busy : t -> Sim.Sched.thread -> Vm_object.page -> unit
 val owner_of_pfn : t -> int -> (Vm_object.t * Vm_object.page) option
 
-val deferred_free_active : t -> bool
-
 val note_full_flush : t -> cpu_id:int -> unit
 (** A CPU flushed its whole TLB (Deferred_free policy): advance its epoch
     and release quarantined frames every CPU has flushed past. *)

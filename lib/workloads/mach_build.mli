@@ -16,8 +16,6 @@ type config = {
 
 val default_config : config
 
-val body : ?cfg:config -> Vm.Machine.t -> Sim.Sched.thread -> unit
-
 val run :
   ?params:Sim.Params.t ->
   ?trace:Instrument.Trace.t ->
