@@ -96,9 +96,7 @@ let perform_action ctx (cpu : Sim.Cpu.t) = function
       else invalidate_local ctx cpu ~space ~ranges:[ (lo, hi) ]
   | Action.Flush_space space -> flush ctx cpu ~space ~pages:0
 
-(* Drain this CPU's action queue (queue lock held by callee).  Returns
-   [true] if any drained action targeted the kernel pmap, for attributing
-   responder time in the measurements. *)
+(* Drain this CPU's action queue (queue lock held by callee). *)
 let process_queued_actions ctx (cpu : Sim.Cpu.t) =
   let id = Sim.Cpu.id cpu in
   let q = ctx.Pmap.queues.(id) in
@@ -116,47 +114,34 @@ let process_queued_actions ctx (cpu : Sim.Cpu.t) =
      initiator — but never touches its TLB, leaving the stale mapping
      live.  Never set outside checker runs. *)
   let skip_invalidate = ctx.Pmap.mutant = Pmap.Skip_responder_invalidate in
-  let touched_kernel =
-    match work with
-    | `Flush_everything ->
-        (* queue overflowed: the whole TLB goes, whatever was queued *)
-        if skip_invalidate then
-          probe_tlb ctx ~cpu:id ~space:(-1) ~pages:0 ~flush:true
-        else flush ctx cpu ~space:(-1) ~pages:0;
-        true
-    | `Actions actions ->
-        let touched_kernel =
-          List.exists
-            (function
-              | Action.Invalidate_range { space; _ }
-              | Action.Flush_space space ->
-                  space = 0)
-            actions
-        in
-        let total_pages =
-          List.fold_left
-            (fun acc -> function
-              | Action.Invalidate_range { lo; hi; _ } -> acc + (hi - lo)
-              | Action.Flush_space _ -> acc)
-            0 actions
-        in
-        (* Batching-aware responder (docs/BATCHING.md): a drained burst of
-           range actions whose combined size crosses the flush threshold
-           is cheaper as one whole-buffer flush than as N range
-           invalidations.  Gated on [batch_shootdowns] so that unbatched
-           runs execute the historical per-action path unchanged. *)
-        if skip_invalidate then ()
-        else if
-          ctx.Pmap.params.batch_shootdowns
-          && List.length actions > 1
-          && total_pages >= ctx.Pmap.params.tlb_flush_threshold
-        then flush ctx cpu ~space:(-1) ~pages:total_pages
-        else List.iter (perform_action ctx cpu) actions;
-        touched_kernel
-  in
+  (match work with
+  | `Flush_everything ->
+      (* queue overflowed: the whole TLB goes, whatever was queued *)
+      if skip_invalidate then
+        probe_tlb ctx ~cpu:id ~space:(-1) ~pages:0 ~flush:true
+      else flush ctx cpu ~space:(-1) ~pages:0
+  | `Actions actions ->
+      let total_pages =
+        List.fold_left
+          (fun acc -> function
+            | Action.Invalidate_range { lo; hi; _ } -> acc + (hi - lo)
+            | Action.Flush_space _ -> acc)
+          0 actions
+      in
+      (* Batching-aware responder (docs/BATCHING.md): a drained burst of
+         range actions whose combined size crosses the flush threshold is
+         cheaper as one whole-buffer flush than as N range invalidations.
+         Gated on [batch_shootdowns] so that unbatched runs execute the
+         historical per-action path unchanged. *)
+      if skip_invalidate then ()
+      else if
+        ctx.Pmap.params.batch_shootdowns
+        && List.length actions > 1
+        && total_pages >= ctx.Pmap.params.tlb_flush_threshold
+      then flush ctx cpu ~space:(-1) ~pages:total_pages
+      else List.iter (perform_action ctx cpu) actions);
   ctx.Pmap.draining.(id) <- false;
-  if probing ctx then probe ctx (Drain_end { cpu = id; at = now cpu });
-  touched_kernel
+  if probing ctx then probe ctx (Drain_end { cpu = id; at = now cpu })
 
 (* ------------------------------------------------------------------ *)
 (* Responders (phases 2 and 4). *)
@@ -207,7 +192,6 @@ let responder ctx (cpu : Sim.Cpu.t) =
      later initiator would wait forever for an ack the idle loop never
      gives. *)
   let was_active = ctx.Pmap.active.(id) in
-  let touched_kernel = ref false in
   let did_work = ref false in
   while ctx.Pmap.action_needed.(id) do
     did_work := true;
@@ -223,7 +207,7 @@ let responder ctx (cpu : Sim.Cpu.t) =
     if responder_must_stall ctx.Pmap.params then stall ctx cpu;
     (* Phase 4: drain the queued invalidations and rejoin. *)
     if probing ctx then probe ctx (Responder_drain { cpu = id; at = now cpu });
-    if process_queued_actions ctx cpu then touched_kernel := true;
+    process_queued_actions ctx cpu;
     ctx.Pmap.active.(id) <- was_active;
     Sim.Bus.access ctx.Pmap.bus ~who:id ~home:0 ()
   done;
@@ -239,9 +223,7 @@ let responder ctx (cpu : Sim.Cpu.t) =
      are not recorded. *)
   if !did_work && id < ctx.Pmap.params.responder_sample_cpus then
     Xpr.record ctx.Pmap.xpr ~code:Xpr.Shoot_responder ~cpu:id
-      ~timestamp:(Sim.Cpu.now cpu)
-      ~arg1:(if !touched_kernel then 1 else 0)
-      ~farg:elapsed ()
+      ~timestamp:(Sim.Cpu.now cpu) ~farg:elapsed ()
 
 (* Idle processors are not interrupted, but must execute queued actions
    before (re)joining the active set; the scheduler's idle loop calls this
@@ -253,7 +235,7 @@ let idle_check ctx (cpu : Sim.Cpu.t) =
     while ctx.Pmap.action_needed.(id) do
       cpu.Sim.Cpu.note <- "idle-check-spin";
       stall ctx cpu;
-      ignore (process_queued_actions ctx cpu)
+      process_queued_actions ctx cpu
     done;
     if probing ctx then probe ctx (Idle_drain { cpu = id; at = now cpu });
     cpu.Sim.Cpu.note <- "idle-check-done";

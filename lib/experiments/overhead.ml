@@ -38,18 +38,12 @@ let paper_mach_kernel_density = 7494.0 /. (1200.0 *. 8.0) (* events per busy-sec
 let paper_camelot_user_density = 360.0 /. (3600.0 *. 3.0)
 
 let of_report (params : Sim.Params.t) (r : Workloads.Driver.report) =
-  let sample_scale =
-    float_of_int params.Sim.Params.ncpus
-    /. float_of_int params.Sim.Params.responder_sample_cpus
-  in
   let busy = r.Workloads.Driver.busy_time in
   let ki = Summary.total_overhead r.Workloads.Driver.kernel_initiators in
   let ui = Summary.total_overhead r.Workloads.Driver.user_initiators in
-  let kernel_resp, user_resp = (r.Workloads.Driver.responders, []) in
-  (* responders were partitioned upstream when available; fall back to
-     attributing all responders to the dominant kind *)
-  ignore user_resp;
-  let resp_total = List.fold_left ( +. ) 0.0 kernel_resp *. sample_scale in
+  (* Responder time is split between the kinds in proportion to their
+     initiator counts. *)
+  let resp_total = Workloads.Driver.scaled_responder_time params r in
   let kn = List.length r.Workloads.Driver.kernel_initiators in
   let un = List.length r.Workloads.Driver.user_initiators in
   let k_share =

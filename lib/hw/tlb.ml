@@ -50,7 +50,6 @@ type t = {
   index : (int, int) Hashtbl.t; (* packed (space, vpn) -> slot *)
   fp_keys : int array; (* direct-mapped cache: packed key, -1 = empty *)
   fp_slots : int array; (* ... -> candidate slot, validated on hit *)
-  mutable live : int; (* occupied slots, keeps [resident] O(1) *)
   mutable fifo_next : int;
   (* Per-space generation counters (docs/ELISION.md).  A hit is valid
      only if the entry's [gen] stamp matches the space's current
@@ -75,7 +74,6 @@ let create ~size =
     index = Hashtbl.create (2 * size);
     fp_keys = Array.make fp_size (-1);
     fp_slots = Array.make fp_size 0;
-    live = 0;
     fifo_next = 0;
     space_gens = [||];
     gen_active = false;
@@ -109,8 +107,7 @@ let clear_slot t i =
   | None -> ()
   | Some e ->
       Hashtbl.remove t.index (key ~space:e.space ~vpn:e.vpn);
-      t.slots.(i) <- None;
-      t.live <- t.live - 1
+      t.slots.(i) <- None
 
 (* A generation-stale hit behaves exactly like a miss with an eager
    invalidate: the slot is reclaimed so the dead translation cannot be
@@ -178,7 +175,6 @@ let insert t entry =
   in
   clear_slot t slot;
   t.slots.(slot) <- Some entry;
-  t.live <- t.live + 1;
   Hashtbl.replace t.index k slot;
   t.fp_keys.(k land fp_mask) <- k;
   t.fp_slots.(k land fp_mask) <- slot
@@ -202,7 +198,6 @@ let invalidate_range t ~space ~lo ~hi =
 let flush_all t =
   Array.fill t.slots 0 t.size None;
   Hashtbl.reset t.index;
-  t.live <- 0;
   t.flushes <- t.flushes + 1
 
 let flush_space t ~space =
@@ -227,12 +222,6 @@ let entries t =
     (fun acc s -> match s with Some e -> e :: acc | None -> acc)
     [] t.slots
 
-let has_space t ~space =
-  Array.exists
-    (fun s -> match s with Some e -> e.space = space | None -> false)
-    t.slots
-
-let resident t = t.live
 let hits t = t.hits
 let misses t = t.misses
 let flushes t = t.flushes

@@ -42,8 +42,6 @@ val flush_user : t -> kernel_space:int -> unit
 (** Flush every non-kernel entry (context switch on untagged hardware). *)
 
 val entries : t -> entry list
-val has_space : t -> space:int -> bool
-val resident : t -> int
 
 (** {2 Generation tags (flush elision)}
 

@@ -8,10 +8,6 @@
 
 type t
 
-val default_lo : float
-val default_gamma : float
-val default_buckets : int
-
 val create : ?lo:float -> ?gamma:float -> ?buckets:int -> unit -> t
 (** Defaults: [lo] 0.5, [gamma] 2{^1/4}, 120 buckets — about six decades
     of simulated microseconds at a worst-case quantile error of ~19%.
@@ -29,10 +25,6 @@ val bucket_bounds : t -> int -> float * float
 
 val count : t -> int
 val mean : t -> float (** [nan] when empty. *)
-
-val min_value : t -> float (** [nan] when empty. *)
-
-val max_value : t -> float (** [nan] when empty. *)
 
 val quantile : t -> float -> float
 (** Upper bound of the bucket containing the rank, clamped to the

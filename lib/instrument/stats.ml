@@ -77,10 +77,6 @@ let summarize xs =
         p90 = percentile xs 90.0;
       }
 
-(* Skewed-to-the-right check used in section 7.3: the 90th percentile sits
-   further from the median than the 10th percentile does. *)
-let right_skewed s = s.p90 -. s.median > s.median -. s.p10
-
 type fit = { slope : float; intercept : float; r2 : float }
 
 (* Ordinary least squares y = intercept + slope * x. *)

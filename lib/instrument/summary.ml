@@ -28,14 +28,6 @@ let responders xpr =
     (fun (e : Xpr.event) -> e.farg)
     (Xpr.events_with_code xpr Xpr.Shoot_responder)
 
-(* Responder times split by whether the drained work touched the kernel
-   pmap (arg1 = 1). *)
-let responders_partitioned xpr =
-  let all = Xpr.events_with_code xpr Xpr.Shoot_responder in
-  let kernel, user = List.partition (fun (e : Xpr.event) -> e.arg1 = 1) all in
-  ( List.map (fun (e : Xpr.event) -> e.farg) kernel,
-    List.map (fun (e : Xpr.event) -> e.farg) user )
-
 let kernel_initiators xpr =
   List.filter (fun i -> i.on_kernel_pmap) (initiators xpr)
 

@@ -14,10 +14,6 @@ type initiator = {
 val initiators : Xpr.t -> initiator list
 val responders : Xpr.t -> float list
 
-val responders_partitioned : Xpr.t -> float list * float list
-(** (kernel, user): split by whether the drained actions touched the
-    kernel pmap. *)
-
 val kernel_initiators : Xpr.t -> initiator list
 val user_initiators : Xpr.t -> initiator list
 val elapsed_of : initiator list -> float list

@@ -52,26 +52,6 @@ let is_none p =
   && p.lock_preempt_rate <= 0.0
   && p.queue_overflow_rate <= 0.0
 
-let describe p =
-  if is_none p then "no faults"
-  else begin
-    let b = Buffer.create 64 in
-    let add fmt = Printf.ksprintf (fun s ->
-        if Buffer.length b > 0 then Buffer.add_string b " ";
-        Buffer.add_string b s) fmt
-    in
-    if p.ipi_drop_rate > 0.0 then add "drop=%.2f" p.ipi_drop_rate;
-    if p.ipi_delay_rate > 0.0 then
-      add "delay=%.2fx%.0fus" p.ipi_delay_rate p.ipi_delay_mean;
-    if p.responder_stall_rate > 0.0 then
-      add "stall=%.2fx%.0fus" p.responder_stall_rate p.responder_stall_mean;
-    if p.lock_preempt_rate > 0.0 then
-      add "preempt=%.2fx%.0fus" p.lock_preempt_rate p.lock_preempt_mean;
-    if p.queue_overflow_rate > 0.0 then add "overflow=%.2f" p.queue_overflow_rate;
-    if p.fault_seed <> 0L then add "fseed=%Ld" p.fault_seed;
-    Buffer.contents b
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Per-CPU injector. *)
 

@@ -48,10 +48,7 @@ let create ?(shards = 1) ~dummy () =
   if shards < 1 then invalid_arg "Heap.create: shards must be positive";
   { subs = Array.init shards (fun _ -> make_sub dummy); dummy; last = 0 }
 
-let shards h = Array.length h.subs
 let last_shard h = h.last
-
-let length h = Array.fold_left (fun acc s -> acc + s.size) 0 h.subs
 
 let is_empty h =
   let n = Array.length h.subs in

@@ -18,8 +18,6 @@ val create : ?shards:int -> dummy:'a -> unit -> 'a t
     [dummy] fills unused slots.
     @raise Invalid_argument if [shards < 1]. *)
 
-val shards : 'a t -> int
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> ?shard:int -> float -> int -> 'a -> unit

@@ -9,7 +9,6 @@
 type level = int
 
 let ipl_none : level = 0 (* nothing masked *)
-let ipl_soft : level = 1 (* low-priority software interrupts *)
 let ipl_vm : level = 3 (* pmap/VM locks are taken at this level *)
 let ipl_device : level = 4 (* device interrupts masked at or above *)
 let ipl_high : level = 7 (* everything masked *)

@@ -10,7 +10,6 @@ type level = int
 
 val ipl_none : level (** nothing masked *)
 
-val ipl_soft : level
 val ipl_vm : level (** pmap/VM locks are taken at this level *)
 
 val ipl_device : level

@@ -105,7 +105,6 @@ type t = {
                                   asynchronously (the hazard of section 3) *)
   tlb_interlocked_refmod : bool; (* MC88200-style interlocked writeback that
                                     re-checks PTE validity *)
-  tlb_remote_invalidate : bool; (* hardware allows invalidating remote TLBs *)
   tlb_asid_tagged : bool; (* MIPS-style tagged TLB: no flush on context
                              switch; pmaps stay "in use" until flushed *)
   (* --- MMU ------------------------------------------------------------- *)
@@ -156,7 +155,6 @@ type t = {
   phys_pages : int;
   fault_base_cost : float; (* entering/leaving the fault handler *)
   cow_copy_cost : float; (* copying one page for copy-on-write *)
-  pagein_cost : float; (* simulated pager round-trip *)
   zero_fill_cost : float;
   (* --- kernel critical sections --------------------------------------- *)
   spl_section_rate : float; (* mean us between kernel sections that raise
@@ -193,7 +191,6 @@ let default =
     tlb_reload = Hardware_reload;
     tlb_refmod_writeback = true;
     tlb_interlocked_refmod = false;
-    tlb_remote_invalidate = false;
     tlb_asid_tagged = false;
     ptw_cost = 7.0;
     lazy_check = true;
@@ -220,7 +217,6 @@ let default =
     phys_pages = 4096 (* 16 MB *);
     fault_base_cost = 180.0;
     cow_copy_cost = 950.0;
-    pagein_cost = 18_000.0;
     zero_fill_cost = 400.0;
     spl_section_rate = 0.0;
     spl_section_mean = 300.0;

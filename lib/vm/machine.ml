@@ -136,7 +136,7 @@ let create ?(params = Sim.Params.default) () =
   let cpus = Array.init params.ncpus (fun id -> Sim.Cpu.create eng bus params ~id) in
   let mem = Hw.Phys_mem.create ~frames:params.phys_pages in
   let mmus = Array.map (fun cpu -> Mmu.create cpu mem params) cpus in
-  let xpr = Instrument.Xpr.create ~capacity:(1 lsl 17) () in
+  let xpr = Instrument.Xpr.create () in
   let ctx = Pmap.create_ctx ~eng ~bus ~cpus ~mmus ~mem ~params ~xpr in
   Shootdown.install ctx;
   (match params.tlb_reload with

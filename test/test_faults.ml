@@ -153,9 +153,9 @@ let test_oracle_flags_no_consistency () =
   match Oracle.violations oracle with
   | [] -> Alcotest.fail "no violation record retained"
   | v :: _ ->
-      Alcotest.(check string)
-        "stale rights are the violation" "excess-rights"
-        (Oracle.kind_name v.Oracle.v_kind)
+      Alcotest.(check bool)
+        "stale rights are the violation" true
+        (v.Oracle.v_kind = Oracle.Excess_rights)
 
 (* Determinism: the same plan and seed reproduce byte-identical outcomes
    (counters included) — the property that makes fuzz failures replayable. *)
@@ -175,7 +175,7 @@ let test_fault_runs_deterministic () =
     ( res.Workloads.Tlb_tester.increments_total,
       res.Workloads.Tlb_tester.consistent,
       Oracle.checks oracle,
-      Oracle.entries_checked oracle,
+      Oracle.violation_count oracle,
       ctx.Core.Pmap.watchdog_retries,
       ctx.Core.Pmap.watchdog_escalations,
       ctx.Core.Pmap.ipis_sent )
@@ -185,7 +185,6 @@ let test_fault_runs_deterministic () =
 
 (* The zero plan produces no injector at all (the byte-identity basis). *)
 let test_zero_plan_no_injector () =
-  Alcotest.(check bool) "is_none" true (F.is_none F.none);
   (match F.injector F.none ~seed:5L with
   | None -> ()
   | Some _ -> Alcotest.fail "zero plan built an injector");
@@ -224,11 +223,11 @@ let decode l =
   (plan, children)
 
 let print_case l =
-  let plan, children = decode l in
+  let _, children = decode l in
   Printf.sprintf
-    "plan: %s | children=%d | raw=%s\n\
+    "children=%d | raw plan=%s\n\
      reproduce: QCHECK_SEED=<printed seed> dune exec test/test_faults.exe"
-    (F.describe plan) children
+    children
     (String.concat "," (List.map string_of_int l))
 
 let fuzz_shootdown_survives_any_plan =

@@ -16,6 +16,10 @@ module Trace = Instrument.Trace
 module Tail = Experiments.Tail
 module Probe = Instrument.Probe
 
+let counter_total tl ~series =
+  List.fold_left (fun acc (_, n) -> acc + n) 0
+    (Timeline.counter_windows tl ~series)
+
 let feed f = List.iter (Flight.observe f)
 
 let start ~cpu ~at : Probe.t =
@@ -134,7 +138,8 @@ let test_abort_and_elide () =
       Update_done { cpu = 0; at = 3.0 };
       Round_end { cpu = 0; at = 4.0 };
     ];
-  Alcotest.(check int) "elided" 1 (Flight.elided_rounds f);
+  Alcotest.(check (option int)) "elided" (Some 1)
+    (Option.bind (Json.member "elided" (Flight.to_json f)) Json.get_int);
   let r = List.hd (Flight.top f) in
   Alcotest.(check bool) "kind" true (r.Flight.kind = Flight.Elided);
   Alcotest.(check bool) "attributed" true (Flight.attributed_exactly r);
@@ -244,7 +249,7 @@ let test_real_run_attribution () =
   | None -> Alcotest.fail "timeline detached"
   | Some tl ->
       Alcotest.(check int) "timeline rounds" (Flight.rounds flight)
-        (Timeline.counter_total tl ~series:"rounds")
+        (counter_total tl ~series:"rounds")
 
 (* ------------------------------------------------------------------ *)
 (* Timeline. *)
@@ -259,7 +264,7 @@ let test_timeline_bucketing () =
     "windows"
     [ (0, 3); (1, 1) ]
     (Timeline.counter_windows tl ~series:"x");
-  Alcotest.(check int) "total" 4 (Timeline.counter_total tl ~series:"x");
+  Alcotest.(check int) "total" 4 (counter_total tl ~series:"x");
   Timeline.observe tl ~series:"lat" ~at:120.0 42.0;
   Alcotest.(check (list string))
     "series sorted" [ "lat"; "x" ] (Timeline.series_names tl)
@@ -291,7 +296,8 @@ let counter_fields = function
   | Json.Obj fields ->
       let str k = match List.assoc k fields with Json.Str s -> s | _ -> "" in
       let ts =
-        match List.assoc "ts" fields with Json.Float f -> f | _ -> nan
+        Option.value ~default:nan
+          (Option.bind (List.assoc_opt "ts" fields) Json.get_float)
       in
       (str "name", str "ph", ts)
   | _ -> ("", "", nan)
@@ -303,13 +309,22 @@ let test_perfetto_counter_tracks () =
   Timeline.count tl ~series:"ipis" ~at:120.0 5;
   Timeline.observe tl ~series:"round_latency_us" ~at:10.0 700.0;
   Timeline.observe tl ~series:"round_latency_us" ~at:310.0 900.0;
-  (* the whole export parses back as JSON *)
-  (match Json.of_string (Perfetto.timeline_to_string tl) with
-  | Error e -> Alcotest.fail e
-  | Ok _ -> ());
-  let events = List.map counter_fields (Perfetto.counter_events tl) in
+  (* the whole export parses back as JSON: the process-name metadata
+     event, then the counter events *)
+  let events =
+    match Json.of_string (Perfetto.timeline_to_string tl) with
+    | Error e -> Alcotest.fail e
+    | Ok j -> (
+        match Option.bind (Json.member "traceEvents" j) Json.get_list with
+        | Some (meta :: counters) ->
+            Alcotest.(check (option string))
+              "metadata first" (Some "M")
+              (Option.bind (Json.member "ph" meta) Json.get_string);
+            List.map counter_fields counters
+        | _ -> Alcotest.fail "no traceEvents")
+  in
   Alcotest.(check bool) "nonempty" true (events <> []);
-  (* every event is a counter event *)
+  (* every other event is a counter event *)
   List.iter
     (fun (_, ph, _) -> Alcotest.(check string) "ph" "C" ph)
     events;
@@ -355,7 +370,6 @@ let test_tail_jobs_deterministic () =
 
 let test_trace_dropped_warning () =
   let t = Trace.create ~cap:4 () in
-  Trace.enable t;
   for i = 1 to 3 do
     Trace.emit t ~name:"ev" ~cpu:0 ~at:(float_of_int i) ()
   done;

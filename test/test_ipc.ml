@@ -206,32 +206,13 @@ let test_copyin_incomplete_range () =
       let task = Task.create vms ~name:"t" in
       Task.adopt vms self task;
       let vpn = Vm_map.allocate vms self task.Task.map ~pages:2 () in
+      let receiver = Task.create vms ~name:"receiver" in
       match
-        Ipc_copy.copyin vms self task.Task.map ~lo:vpn ~hi:(vpn + 10)
+        Ipc_copy.send_ool_data vms self ~sender:task ~src_vpn:vpn ~pages:10
+          ~receiver
       with
       | Error `Incomplete_range -> ()
       | Ok _ -> Alcotest.fail "hole should fail copyin")
-
-let test_discard_releases () =
-  on_machine (fun machine self ->
-      let vms = machine.Vm.Machine.vms in
-      let task = Task.create vms ~name:"t" in
-      Task.adopt vms self task;
-      let vpn = Vm_map.allocate vms self task.Task.map ~pages:2 () in
-      (match
-         Task.touch_range vms self task.Task.map ~lo_vpn:vpn ~pages:2
-           ~access:Addr.Write_access
-       with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "touch");
-      let free0 = Vm.Vmstate.free_frames vms in
-      (match Ipc_copy.copyin vms self task.Task.map ~lo:vpn ~hi:(vpn + 2) with
-      | Ok copy ->
-          Ipc_copy.discard vms self copy;
-          (* the sender still holds the memory; nothing freed or leaked *)
-          Alcotest.(check int) "frames unchanged" free0
-            (Vm.Vmstate.free_frames vms)
-      | Error `Incomplete_range -> Alcotest.fail "copyin"))
 
 let () =
   Alcotest.run "ipc+objects"
@@ -256,6 +237,5 @@ let () =
             test_ool_capture_shoots_running_sender;
           Alcotest.test_case "incomplete range" `Quick
             test_copyin_incomplete_range;
-          Alcotest.test_case "discard releases" `Quick test_discard_releases;
         ] );
     ]

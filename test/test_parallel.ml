@@ -6,6 +6,7 @@
 
 module Pool = Sim.Domain_pool
 module Metrics = Instrument.Metrics
+module Json = Instrument.Json
 
 (* ------------------------------------------------------------------ *)
 (* map_trials semantics *)
@@ -116,16 +117,23 @@ let test_metrics_merge () =
   Metrics.observe_list (Metrics.histogram a "lat") [ 1.0; 2.0 ];
   Metrics.observe_list (Metrics.histogram b "lat") [ 3.0 ];
   Metrics.merge ~into:a b;
-  Alcotest.(check int) "counters add" 7 (Metrics.count (Metrics.counter a "events"));
-  Alcotest.(check int) "new counter copied" 1
-    (Metrics.count (Metrics.counter a "only_b"));
-  Alcotest.(check (float 0.0)) "unset gauge does not clobber" 55.0
-    (Metrics.value (Metrics.gauge a "slope"));
+  let field path get = Option.bind (Json.path path (Metrics.to_json a)) get in
+  Alcotest.(check (option int)) "counters add" (Some 7)
+    (field [ "events"; "value" ] Json.get_int);
+  Alcotest.(check (option int)) "new counter copied" (Some 1)
+    (field [ "only_b"; "value" ] Json.get_int);
+  Alcotest.(check (option (float 0.0))) "unset gauge does not clobber"
+    (Some 55.0)
+    (field [ "slope"; "value" ] Json.get_float);
   Alcotest.(check bool) "unset gauge still registered" true
-    (List.mem "unset_gauge" (Metrics.names a));
-  Alcotest.(check (list (float 0.0))) "histogram appends in order"
-    [ 1.0; 2.0; 3.0 ]
-    (Metrics.samples (Metrics.histogram a "lat"));
+    (Json.member "unset_gauge" (Metrics.to_json a) <> None);
+  Alcotest.(check (list (option (float 0.0)))) "histogram gains the samples"
+    [ Some 3.0; Some 1.0; Some 3.0 ]
+    [
+      field [ "lat"; "n" ] Json.get_float;
+      field [ "lat"; "min" ] Json.get_float;
+      field [ "lat"; "max" ] Json.get_float;
+    ];
   (* kind conflicts are schema bugs and must be loud *)
   let c = Metrics.create () in
   ignore (Metrics.counter c "slope");

@@ -14,26 +14,18 @@ let addr_roundtrip =
     QCheck.(int_range 0 0xFFFFF)
     (fun vpn ->
       Addr.vpn_of_addr (Addr.addr_of_vpn vpn) = vpn
-      && Addr.is_page_aligned (Addr.addr_of_vpn vpn))
+      && Addr.page_offset (Addr.addr_of_vpn vpn) = 0)
 
 let addr_rounding =
   QCheck.Test.make ~name:"page rounding laws" ~count:500
     QCheck.(int_range 0 0xFFFFFFF)
     (fun a ->
-      let down = Addr.round_down_page a and up = Addr.round_up_page a in
-      down <= a && a <= up
-      && Addr.is_page_aligned down && Addr.is_page_aligned up
-      && up - down <= Addr.page_size)
-
-let pages_in_counts =
-  QCheck.Test.make ~name:"pages_in covers the byte range" ~count:300
-    QCheck.(pair (int_range 0 0xFFFFF) (int_range 1 100_000))
-    (fun (start, len) ->
-      let n = Addr.pages_in ~start ~len in
-      (* n pages starting at the rounded-down base must cover the range *)
-      let base = Addr.round_down_page start in
-      base + (n * Addr.page_size) >= start + len
-      && (n - 1) * Addr.page_size < Addr.page_size + len)
+      (* an address is its page's base (rounded down) plus an in-page
+         offset *)
+      let down = Addr.addr_of_vpn (Addr.vpn_of_addr a) in
+      let off = Addr.page_offset a in
+      down + off = a && down <= a && off >= 0 && off < Addr.page_size
+      && Addr.page_offset down = 0)
 
 let prot_of_int i =
   match i mod 3 with
@@ -204,7 +196,7 @@ let () =
     [
       ( "addr",
         List.map QCheck_alcotest.to_alcotest
-          [ addr_roundtrip; addr_rounding; pages_in_counts; prot_lattice_laws ]
+          [ addr_roundtrip; addr_rounding; prot_lattice_laws ]
       );
       ( "action-queue",
         List.map QCheck_alcotest.to_alcotest

@@ -66,18 +66,6 @@ let test_suspend_wake () =
   Sim.Engine.run eng;
   check_float "woken at" ~eps:1e-9 42.0 !woken_at
 
-let test_run_until () =
-  let eng = Sim.Engine.create () in
-  let count = ref 0 in
-  let rec tick () =
-    incr count;
-    Sim.Engine.after eng 10.0 tick
-  in
-  Sim.Engine.at eng 0.0 tick;
-  Sim.Engine.run_until eng 95.0;
-  Alcotest.(check int) "ticks within limit" 10 !count;
-  check_float "clock stops at limit" ~eps:1e-9 95.0 (Sim.Engine.now eng)
-
 let test_runaway () =
   let eng = Sim.Engine.create ~max_events:100 () in
   let rec tick () = Sim.Engine.after ~label:"stuck-tick" eng 1.0 tick in
@@ -133,8 +121,8 @@ let heap_sorted =
 let test_prng_deterministic () =
   let a = Sim.Prng.create 7L and b = Sim.Prng.create 7L in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Sim.Prng.next_int64 a)
-      (Sim.Prng.next_int64 b)
+    Alcotest.(check int) "same stream" (Sim.Prng.int a max_int)
+      (Sim.Prng.int b max_int)
   done
 
 let prng_float_range =
@@ -163,6 +151,9 @@ let reference_splitmix64 state =
   let z = Int64.mul (z ^>> 27) 0x94D049BB133111EBL in
   z ^>> 31
 
+(* The public draws expose the raw 64-bit output: [float] its top 53
+   bits, [int p max_int] its low 62 bits (a value below 2^62 - 1 is its
+   own remainder).  Alternating them pins every bit of the sequence. *)
 let prng_matches_reference =
   QCheck.Test.make ~name:"prng = reference Int64 SplitMix64" ~count:200
     QCheck.int64
@@ -170,8 +161,15 @@ let prng_matches_reference =
       let p = Sim.Prng.create seed in
       let state = ref seed in
       let ok = ref true in
-      for _ = 1 to 64 do
-        if Sim.Prng.next_int64 p <> reference_splitmix64 state then ok := false
+      for i = 1 to 64 do
+        let z = reference_splitmix64 state in
+        let low62 = Int64.to_int (Int64.logand z 0x3FFF_FFFF_FFFF_FFFFL) in
+        if i land 1 = 0 then begin
+          let top53 = Int64.to_float (Int64.shift_right_logical z 11) in
+          if Sim.Prng.float p <> top53 *. (1.0 /. 9007199254740992.0) then
+            ok := false
+        end
+        else if Sim.Prng.int p max_int <> low62 mod max_int then ok := false
       done;
       !ok)
 
@@ -219,8 +217,8 @@ let test_deliverable_strictly_above_ipl () =
   (* an interrupt at exactly the current IPL is masked: delivery needs
      [level > ipl], not [>=] *)
   let c = Sim.Interrupt.make_controller () in
-  Sim.Interrupt.post c (shoot_pending Sim.Interrupt.ipl_soft);
-  (match Sim.Interrupt.deliverable c ~ipl:Sim.Interrupt.ipl_soft with
+  Sim.Interrupt.post c (shoot_pending Sim.Interrupt.ipl_vm);
+  (match Sim.Interrupt.deliverable c ~ipl:Sim.Interrupt.ipl_vm with
   | None -> ()
   | Some _ -> Alcotest.fail "delivered at its own level");
   (match Sim.Interrupt.deliverable c ~ipl:Sim.Interrupt.ipl_none with
@@ -235,7 +233,7 @@ let test_post_coalesces_per_kind () =
      re-posting while pending is absorbed *)
   let c = Sim.Interrupt.make_controller () in
   for _ = 1 to 3 do
-    Sim.Interrupt.post c (shoot_pending Sim.Interrupt.ipl_soft)
+    Sim.Interrupt.post c (shoot_pending Sim.Interrupt.ipl_vm)
   done;
   match Sim.Interrupt.deliverable c ~ipl:Sim.Interrupt.ipl_none with
   | None -> Alcotest.fail "nothing pending after post"
@@ -250,7 +248,7 @@ let test_post_coalesces_per_kind () =
 
 let test_take_clears_only_taken_kind () =
   let c = Sim.Interrupt.make_controller () in
-  Sim.Interrupt.post c (shoot_pending Sim.Interrupt.ipl_soft);
+  Sim.Interrupt.post c (shoot_pending Sim.Interrupt.ipl_vm);
   Sim.Interrupt.post c (dev_pending Sim.Interrupt.ipl_device);
   (* the device interrupt wins on priority *)
   (match Sim.Interrupt.deliverable c ~ipl:Sim.Interrupt.ipl_none with
@@ -348,6 +346,15 @@ let test_device_priority_over_shootdown () =
   Alcotest.(check (list string)) "device first" [ "device"; "shoot" ]
     (List.rev !order)
 
+(* A handler's service time at its raised IPL, polling for strictly
+   higher-priority interrupts every 40 us as the CPU's own device handler
+   does. *)
+let masked_service c cost =
+  for _ = 1 to int_of_float (cost /. 40.0) do
+    Sim.Cpu.raw_delay c 40.0;
+    Sim.Cpu.check_interrupts c
+  done
+
 let test_nested_interrupt_preemption () =
   (* a higher-priority interrupt preempts a running lower-priority
      handler; the lower one resumes and completes *)
@@ -357,7 +364,7 @@ let test_nested_interrupt_preemption () =
   cpu.Sim.Cpu.device_handler <-
     (fun c ->
       order := "dev-start" :: !order;
-      Sim.Cpu.masked_service c 200.0;
+      masked_service c 200.0;
       order := "dev-end" :: !order);
   cpu.Sim.Cpu.shootdown_handler <- (fun _ -> order := "shoot" :: !order);
   Sim.Engine.spawn eng (fun () ->
@@ -380,7 +387,7 @@ let test_masked_service_blocks_equal_priority () =
   cpu.Sim.Cpu.device_handler <-
     (fun c ->
       order := "dev-start" :: !order;
-      Sim.Cpu.masked_service c 200.0;
+      masked_service c 200.0;
       order := "dev-end" :: !order);
   cpu.Sim.Cpu.shootdown_handler <- (fun _ -> order := "shoot" :: !order);
   Sim.Engine.spawn eng (fun () ->
@@ -443,12 +450,13 @@ let test_spinlock_mutual_exclusion () =
     (fun cpu ->
       Sim.Engine.spawn eng (fun () ->
           for _ = 1 to 5 do
-            Sim.Spinlock.with_lock lock cpu (fun () ->
-                incr inside;
-                if !inside > !max_inside then max_inside := !inside;
-                incr total;
-                Sim.Cpu.raw_delay cpu 20.0;
-                decr inside)
+            let saved = Sim.Spinlock.acquire lock cpu in
+            incr inside;
+            if !inside > !max_inside then max_inside := !inside;
+            incr total;
+            Sim.Cpu.raw_delay cpu 20.0;
+            decr inside;
+            Sim.Spinlock.release lock cpu ~saved_ipl:saved
           done))
     cpus;
   Sim.Engine.run eng;
@@ -482,7 +490,7 @@ let make_sched ?(ncpus = 4) ?(params = quiet_params) () =
 
 let run_to_completion eng sched =
   let guard = ref 0 in
-  while Sim.Sched.live_threads sched > 0 && Sim.Engine.step eng do
+  while sched.Sim.Sched.live_threads > 0 && Sim.Engine.step eng do
     incr guard;
     if !guard > 10_000_000 then Alcotest.fail "scheduler wedged"
   done;
@@ -587,7 +595,7 @@ let test_mutex_condvar_producer_consumer () =
            Sim.Cpu.step (Sim.Sched.current_cpu th) 30.0;
            Sim.Sync.lock sched th m;
            Queue.push i queue;
-           Sim.Sync.signal sched cv;
+           Sim.Sync.broadcast sched cv;
            Sim.Sync.unlock sched th m
          done));
   run_to_completion eng sched;
@@ -623,7 +631,6 @@ let () =
           Alcotest.test_case "fifo same instant" `Quick test_fifo_same_instant;
           Alcotest.test_case "interleaving" `Quick test_interleaving;
           Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
-          Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "runaway guard" `Quick test_runaway;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );

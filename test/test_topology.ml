@@ -103,21 +103,24 @@ let test_iter_payloads_all_shards () =
   for i = 0 to 8 do
     Sim.Heap.push h ~shard:(i mod 3) (float_of_int i) i (100 + i)
   done;
-  Alcotest.(check int) "length sums the shards" 9 (Sim.Heap.length h);
-  let seen = ref [] in
-  Sim.Heap.iter_payloads (fun v -> seen := v :: !seen) h;
+  let payloads () =
+    let seen = ref [] in
+    Sim.Heap.iter_payloads (fun v -> seen := v :: !seen) h;
+    List.sort compare !seen
+  in
   Alcotest.(check (list int))
     "every shard's payloads visited"
     (List.init 9 (fun i -> 100 + i))
-    (List.sort compare !seen);
+    (payloads ());
   ignore (Sim.Heap.pop h);
-  Alcotest.(check int) "length tracks pops" 8 (Sim.Heap.length h)
+  Alcotest.(check (list int))
+    "pops leave the rest" (List.init 8 (fun i -> 101 + i)) (payloads ())
 
 (* ------------------------------------------------------------------ *)
 (* Clustered behaviour. *)
 
 (* A remote access serialises through local bus, interconnect and remote
-   bus; it must book interconnect transactions and cost more than the
+   bus; it must book both cluster buses and cost more than the
    same-cluster access it follows. *)
 let test_remote_access_accounting () =
   let params =
@@ -143,16 +146,8 @@ let test_remote_access_accounting () =
     "remote access costs more" true
     (!remote_cost > !local_cost);
   Alcotest.(check int)
-    "remote access crossed the interconnect" 1
-    (Sim.Bus.interconnect_transactions bus);
-  Alcotest.(check int)
-    "remote bus served the remote hop" 1
-    (Sim.Bus.cluster_transactions bus ~cluster:1);
-  Alcotest.(check int)
-    "per-cluster counts sum to the total"
+    "local hop, then the remote access on both cluster buses" 3
     (Sim.Bus.transactions bus)
-    (Sim.Bus.cluster_transactions bus ~cluster:0
-    + Sim.Bus.cluster_transactions bus ~cluster:1)
 
 (* Cluster-targeted multicast: a task resident on one cluster interrupts
    that cluster only, where broadcast pays one IPI per other CPU. *)
@@ -188,8 +183,12 @@ let test_clustered_profile () =
   Vm.Machine.attach_profile machine profile;
   let r = Workloads.Tlb_tester.run machine ~children:8 () in
   Alcotest.(check bool) "consistent" true r.Workloads.Tlb_tester.consistent;
-  Alcotest.(check int) "three clusters mapped" 3
-    (Instrument.Profile.nclusters profile);
+  Alcotest.(check (option int)) "three clusters mapped" (Some 3)
+    (Option.map List.length
+       (Option.bind
+          (Instrument.Json.member "clusters"
+             (Instrument.Profile.to_json profile))
+          Instrument.Json.get_list));
   Alcotest.(check bool)
     "interconnect wait observed" true
     (Instrument.Profile.category_total profile

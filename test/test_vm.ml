@@ -53,7 +53,11 @@ let op_print = function
   | Op_allocate p -> Printf.sprintf "alloc %d" p
   | Op_deallocate (lo, len) -> Printf.sprintf "dealloc %d+%d" lo len
   | Op_protect (lo, len, p) ->
-      Printf.sprintf "protect %d+%d %s" lo len (Addr.prot_to_string p)
+      Printf.sprintf "protect %d+%d %s" lo len
+        (match p with
+        | Addr.Prot_none -> "none"
+        | Addr.Prot_read -> "r"
+        | Addr.Prot_read_write -> "rw")
 
 let map_matches_reference ops =
   on_machine (fun machine self ->
@@ -61,7 +65,7 @@ let map_matches_reference ops =
       let task = Task.create vms ~name:"qc" in
       Task.adopt vms self task;
       let map = task.Task.map in
-      let base = Task.user_lo_vpn in
+      let base = map.Vm_map.lo in
       (* reference: per-page protection, None = unallocated *)
       let reference = Array.make 128 None in
       let apply = function
