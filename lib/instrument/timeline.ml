@@ -17,8 +17,8 @@
    Metrics.merge and Profile.merge (docs/PARALLELISM.md).
 
    The export surfaces are [to_json] (schema tlbshoot-timeline-v1) and
-   Perfetto counter tracks (Perfetto.counter_events): one counter track
-   per series, window start times as timestamps. *)
+   Perfetto counter tracks (Perfetto.timeline_to_string): one counter
+   track per series, window start times as timestamps. *)
 
 let default_window = 1_000.0 (* us: 1 simulated millisecond per window *)
 
